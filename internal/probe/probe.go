@@ -4,22 +4,42 @@
 // ε-greedy exploitation/exploration batch selection, per-vantage-point
 // scoring, and the hierarchical cross-metro prior of Appx. D.6.
 //
-// The selector is the inner loop of a whole run: SelectBatch evaluates
-// EntryProb for every open (row, column) pair of the neediest rows, once
-// per selected measurement. PR 7 profiling showed that loop dominating
-// end-to-end wall-clock through map hashing (16-byte [2]int and struct
-// keys) and per-candidate allocations, so every per-pair structure here is
-// a dense slice indexed by member row (penalties, exploration marks, VP
-// scores, category caches) and all batch-scoped scratch lives on the
-// Selector. The selection semantics — iteration order, tie-breaking, and
-// the exact RNG consumption sequence — are bit-identical to the original
-// map-based implementation; a Selector is not safe for concurrent use
-// (and never was: Report's call order shapes future batches).
+// The selector is the inner loop of a whole run, so its cost follows what
+// it decides rather than everything it looks at. Choosing a measurement
+// is split in two:
+//
+//   - score(i, j) is RNG-free. It rates every (VP category, target
+//     category) strategy available to the ordered pair and returns the
+//     best P with its winning categories. Nothing changes a score between
+//     two Report calls, so SelectBatch scores each pair at most once per
+//     batch (an n×n memo stamped with a batch generation).
+//   - Once the scores name the winner, the RNG draws that evaluating the
+//     scanned pairs has always made — per orientation with a possible
+//     measurement, pickVP's 24 sampled Intn (categories above 24 VPs) and
+//     its Float64, then the target's Intn — are replayed in the same order.
+//     Only the winner turns its draws into a VP and a target; every other
+//     pair just advances the stream (skipIntn, skipVP), with no weights
+//     and no modulo.
+//
+// Exploration walks fill sums upward over rows bucketed by fill instead
+// of sorting all open pairs, and rows are ordered by a stable counting
+// sort. Per-pair state is dense where it is dense (entry penalties,
+// exploration marks, the score memo) and sparse where it is sparse: a
+// sorted (strategy, factor) list per penalized pair, and VP categories
+// that share one VP list per geo scope instead of copying it per row.
+//
+// Byte-identity contract: for a given seed, every batch, every RNG draw
+// and every Measurement equals what the original per-pair selector
+// produced; golden_test.go keeps that code verbatim as the oracle. A
+// Selector is not safe for concurrent use (and never was: Report's call
+// order shapes future batches).
 package probe
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"metascritic/internal/asgraph"
@@ -116,22 +136,57 @@ type Measurement struct {
 	Exploration bool
 }
 
-// vpCat is one non-empty vantage-point category of a member row: the VPs
-// plus their indices into Selector.vps (for the dense score table).
+// vpCat is one non-empty vantage-point category of a member row. Its VPs
+// are indices into Selector.vps, in vps order. The in-AS and in-cone
+// categories are small and list them (own). The outside category of a geo
+// scope is that scope's selector-wide VP list (geo) minus the row's in-AS
+// and in-cone VPs, which it records as sorted positions into geo (ex), so
+// no row copies the hundreds of probes outside it.
 type vpCat struct {
-	key  int
-	vps  []VP
-	idxs []int32
+	key int
+	n   int   // number of VPs in the category
+	lim int32 // Int31n rejection bound for n (see skipIntn)
+	own []int32
+	geo []int32
+	ex  []int32
+}
+
+// at returns the Selector.vps index of the category's k-th VP.
+func (c *vpCat) at(k int) int32 {
+	if c.own != nil {
+		return c.own[k]
+	}
+	// ex[m]-m kept VPs precede the m-th exclusion, a nondecreasing count,
+	// so the k-th kept VP follows exactly the exclusions with ex[m]-m <= k.
+	m := sort.Search(len(c.ex), func(m int) bool { return int(c.ex[m])-m > k })
+	return c.geo[k+m]
 }
 
 // tgtCat is one non-empty target category of a member row.
 type tgtCat struct {
 	key  int
+	lim  int32 // Int31n rejection bound for len(tgts)
 	tgts []Target
 }
 
-// counter tracks informative/total outcomes of a (VP, member) pairing.
-type counter struct{ good, total float64 }
+// vpCount tracks the informative/total outcomes of one VP (a canonical
+// vps index) for a member row.
+type vpCount struct{ vp, good, total int32 }
+
+// stratPen is the penalty factor of one strategy at an ordered pair.
+type stratPen struct {
+	id uint8
+	f  float64
+}
+
+// pairScore memoizes score(i, j) for one SelectBatch call: the best P and
+// the winning VP and target category indices (v < 0: no possible
+// measurement). gen is the batch that computed it.
+type pairScore struct {
+	p    float64
+	gen  uint32
+	v, t int8
+}
 
 // Selector chooses measurements for one metro. It sees only public data:
 // the AS graph (relationships, footprints, IXP membership), probe
@@ -148,29 +203,37 @@ type Selector struct {
 	// hitlist lists believed-responsive target ASes (ISI hitlist analog).
 	hitlist map[int]bool
 
-	// Strategy-level statistics (Beta-style pseudo-counts).
+	// Strategy-level statistics (Beta-style pseudo-counts) and their
+	// ratio, kept current so that scoring does not divide.
 	stratSucc  [NumStrategies]float64
 	stratTrial [NumStrategies]float64
+	rate       [NumStrategies]float64
 
-	// Per-entry penalties, dense by member-row pair (i*n+j): repeated
-	// uninformative attempts at the same entry with the same strategy
-	// halve its probability (§3.3.2), and a milder entry-wide factor
-	// discourages cycling through strategies on an elusive link.
-	// penalty is keyed by the ORDERED pair and holds a lazily allocated
-	// per-strategy factor slice (0 = no penalty); entryPenalty is keyed
-	// by the unordered pair (i<j) with 0 meaning no penalty (factor 1).
-	penalty      map[int][]float64
+	// Per-entry penalties: repeated uninformative attempts at the same
+	// entry with the same strategy halve its probability (§3.3.2), and a
+	// milder entry-wide factor discourages cycling through strategies on
+	// an elusive link. penalty is keyed by the ORDERED pair (i*n+j) and
+	// lists its penalized strategies sorted by id (a missing strategy has
+	// factor 1); entryPenalty is dense by the unordered pair (i<j) with 0
+	// meaning no penalty (factor 1).
+	penalty      map[int][]stratPen
 	entryPenalty []float64
 	// explored marks entries that spent their one exploration attempt
 	// (unordered, i<j).
 	explored []bool
 
-	// VP scoring: per (member row, vp index) informative/total counts.
-	// Rows are allocated lazily on first Report for the member, so the
-	// table stays proportional to the measured rows. vpIndex resolves a
-	// VP value back to its index in vps (built on first Report).
-	vpScore [][]counter
+	// VP scoring: per member row, the informative/total counts of the VPs
+	// reported for it, sorted by vp index: a row holds the few VPs that
+	// measured it, not a slot for every probe. vpIndex resolves a
+	// VP value back to its index in vps; canon maps each vps index to that
+	// index, so duplicate VP values (two probes in the same AS at the same
+	// metro) share one score slot. geoVPs lists the vps indices of each
+	// geo scope in vps order, the shared backing of every row's outside
+	// categories. All three are built on first use.
+	vpScore [][]vpCount
 	vpIndex map[VP]int32
+	canon   []int32
+	geoVPs  [asgraph.NumGeoScopes][]int32
 
 	// Cached per-member-row VP and target categorizations as dense lists
 	// sorted by category key (map iteration order is random; the hot
@@ -178,51 +241,24 @@ type Selector struct {
 	vpCats  [][]vpCat
 	tgtCats [][]tgtCat
 
-	// Batch-scoped scratch, reused across SelectBatch calls and across
-	// the EntryProb sweep (one Selector serves one goroutine).
+	// Batch-scoped scratch, reused across SelectBatch calls (one Selector
+	// serves one goroutine). scores is the n×n score memo; an entry is
+	// valid while its gen equals gen, which every batch advances.
+	scores        []pairScore
+	gen           uint32
 	fillScratch   []int
 	pendingMark   []bool // n×n: entry already chosen in this batch
 	perRowScratch []int  // explorations per row in this batch
-	rowSorter     rowFillSorter
-	candSorter    candSorter
-	sampleScratch []VP
-	idxScratch    []int32
+	rowScratch    []int
+	rowIDs        []int
+	eligScratch   []int
+	colScratch    []int
+	fillStart     []int
+	fillNext      []int
+	fillSorted    []int
+	sampleScratch []int32
 	weightScratch []float64
-	// Result slots for the allocation-free entryProb: A and B hold the
-	// two orientations of the pair under evaluation, best holds the
-	// winner across pairs (so later evaluations cannot clobber it).
-	measureA, measureB, measureBest Measurement
 }
-
-type exploreCand struct{ i, j, sum int }
-
-// rowFillSorter and candSorter are reusable sort.Interface
-// implementations: the selection loops sort once per chosen measurement,
-// and sort.Slice's reflect-based swapper allocates per call while
-// sort.Sort/sort.Stable on a pointer receiver does not.
-type rowFillSorter struct {
-	rows []int
-	fill []int
-}
-
-func (s *rowFillSorter) Len() int           { return len(s.rows) }
-func (s *rowFillSorter) Less(a, b int) bool { return s.fill[s.rows[a]] < s.fill[s.rows[b]] }
-func (s *rowFillSorter) Swap(a, b int)      { s.rows[a], s.rows[b] = s.rows[b], s.rows[a] }
-
-type candSorter struct{ cands []exploreCand }
-
-func (s *candSorter) Len() int { return len(s.cands) }
-func (s *candSorter) Less(a, b int) bool {
-	ca, cb := &s.cands[a], &s.cands[b]
-	if ca.sum != cb.sum {
-		return ca.sum < cb.sum
-	}
-	if ca.i != cb.i {
-		return ca.i < cb.i
-	}
-	return ca.j < cb.j
-}
-func (s *candSorter) Swap(a, b int) { s.cands[a], s.cands[b] = s.cands[b], s.cands[a] }
 
 // NewSelector builds a selector for a metro over the given members, probes
 // and hitlist of target ASes.
@@ -235,10 +271,10 @@ func NewSelector(g *asgraph.Graph, metro int, members []int, vps []VP, hitlist [
 		Index:        make(map[int]int, n),
 		vps:          vps,
 		hitlist:      map[int]bool{},
-		penalty:      map[int][]float64{},
+		penalty:      map[int][]stratPen{},
 		entryPenalty: make([]float64, n*n),
 		explored:     make([]bool, n*n),
-		vpScore:      make([][]counter, n),
+		vpScore:      make([][]vpCount, n),
 		vpCats:       make([][]vpCat, n),
 		tgtCats:      make([][]tgtCat, n),
 	}
@@ -263,6 +299,7 @@ func NewSelector(g *asgraph.Graph, metro int, members []int, vps []VP, hitlist [
 			[...]float64{1.0, 0.55, 0.9}[st.TgtTop]
 		s.stratSucc[id] = p * 4
 		s.stratTrial[id] = 4
+		s.rate[id] = s.stratSucc[id] / s.stratTrial[id]
 	}
 	return s
 }
@@ -274,17 +311,14 @@ func (s *Selector) InitPriors(prior [NumStrategies]float64, weight float64) {
 	for i := range s.stratSucc {
 		s.stratSucc[i] = prior[i]*weight + 1
 		s.stratTrial[i] = weight + 6
+		s.rate[i] = s.stratSucc[i] / s.stratTrial[i]
 	}
 }
 
 // StrategyRates exports the current per-strategy success estimates, to be
 // pooled into priors for new metros.
 func (s *Selector) StrategyRates() [NumStrategies]float64 {
-	var out [NumStrategies]float64
-	for i := range out {
-		out[i] = s.stratSucc[i] / s.stratTrial[i]
-	}
-	return out
+	return s.rate
 }
 
 // BootstrapPlan samples up to perStrategy concrete measurements for every
@@ -308,7 +342,8 @@ func (s *Selector) BootstrapPlan(perStrategy, maxEntriesScanned int, rng *rand.R
 		asI, asJ := s.Members[i], s.Members[j]
 		vcats := s.vpCategories(i)
 		tcats := s.targetsFor(j)
-		for _, vc := range vcats {
+		for vi := range vcats {
+			vc := &vcats[vi]
 			for _, tc := range tcats {
 				id := vc.key*numTgtKeys + tc.key
 				if counts[id] >= perStrategy {
@@ -316,7 +351,7 @@ func (s *Selector) BootstrapPlan(perStrategy, maxEntriesScanned int, rng *rand.R
 				}
 				counts[id]++
 				plan = append(plan, Measurement{
-					VP:     vc.vps[rng.Intn(len(vc.vps))],
+					VP:     s.vps[vc.at(rng.Intn(vc.n))],
 					Target: tc.tgts[rng.Intn(len(tc.tgts))],
 					LinkI:  asI, LinkJ: asJ,
 					Strat: strategyFromKeys(vc.key, tc.key),
@@ -328,15 +363,21 @@ func (s *Selector) BootstrapPlan(perStrategy, maxEntriesScanned int, rng *rand.R
 	return plan
 }
 
-// vpTopoOf categorizes a vantage point relative to AS i.
-func (s *Selector) vpTopoOf(vp VP, i int) VPTopo {
-	if vp.AS == i {
-		return VPInAS
+// indexVPs builds vpIndex, canon and geoVPs on first use.
+func (s *Selector) indexVPs() {
+	if s.vpIndex != nil {
+		return
 	}
-	if s.G.InCone(vp.AS, i) {
-		return VPInCone
+	s.vpIndex = make(map[VP]int32, len(s.vps))
+	for i, v := range s.vps {
+		s.vpIndex[v] = int32(i)
 	}
-	return VPOutside
+	s.canon = make([]int32, len(s.vps))
+	for i, v := range s.vps {
+		s.canon[i] = s.vpIndex[v]
+		geo := s.G.ScopeOfMetros(v.Metro, s.Metro)
+		s.geoVPs[geo] = append(s.geoVPs[geo], int32(i))
+	}
 }
 
 // vpCategories returns the vantage points of member row i grouped by
@@ -345,27 +386,36 @@ func (s *Selector) vpCategories(i int) []vpCat {
 	if c := s.vpCats[i]; c != nil {
 		return c
 	}
+	s.indexVPs()
 	asI := s.Members[i]
-	byKey := map[int]int{} // key -> index into cats
+	cone := s.G.CustomerCone(asI)
 	cats := []vpCat{}
-	for _, vp := range s.vps {
-		geo := s.G.ScopeOfMetros(vp.Metro, s.Metro)
-		topo := s.vpTopoOf(vp, asI)
-		key := int(geo)*int(numVPTopo) + int(topo)
-		ci, ok := byKey[key]
-		if !ok {
-			ci = len(cats)
-			byKey[key] = ci
-			cats = append(cats, vpCat{key: key})
+	for geo, all := range s.geoVPs {
+		var inAS, inCone, ex []int32
+		for pos, vi := range all {
+			// A VP is in-AS, else in-cone when its AS is in asI's
+			// customer cone, else outside.
+			as := s.vps[vi].AS
+			if as == asI {
+				inAS = append(inAS, vi)
+			} else if _, ok := slices.BinarySearch(cone, int32(as)); ok {
+				inCone = append(inCone, vi)
+			} else {
+				continue
+			}
+			ex = append(ex, int32(pos))
 		}
-		// Canonicalize duplicate VP values (two probes in the same AS at
-		// the same metro) onto one score-table index, matching the
-		// value-keyed scoring they'd share in a map.
-		vi, _ := s.vpIndexOf(vp)
-		cats[ci].vps = append(cats[ci].vps, vp)
-		cats[ci].idxs = append(cats[ci].idxs, vi)
+		key := geo * int(numVPTopo)
+		// Indexed by topo: VPInAS, then VPInCone.
+		for topo, own := range [...][]int32{inAS, inCone} {
+			if len(own) > 0 {
+				cats = append(cats, vpCat{key: key + topo, n: len(own), lim: int31nLim(len(own)), own: own})
+			}
+		}
+		if k := len(all) - len(ex); k > 0 {
+			cats = append(cats, vpCat{key: key + int(VPOutside), n: k, lim: int31nLim(k), geo: all, ex: ex})
+		}
 	}
-	sort.Slice(cats, func(a, b int) bool { return cats[a].key < cats[b].key })
 	s.vpCats[i] = cats
 	return cats
 }
@@ -418,36 +468,38 @@ func (s *Selector) targetsFor(j int) []tgtCat {
 		}
 	}
 	sort.Slice(cats, func(a, b int) bool { return cats[a].key < cats[b].key })
+	for k := range cats {
+		cats[k].lim = int31nLim(len(cats[k].tgts))
+	}
 	s.tgtCats[j] = cats
 	return cats
 }
 
 // baseRate returns the prior-informed success rate of a strategy.
 func (s *Selector) baseRate(id int) float64 {
-	return s.stratSucc[id] / s.stratTrial[id]
+	return s.rate[id]
 }
 
 // EntryProb returns P_ijm: the best estimated probability, over all
 // strategies with available (vp, target) pairs, that a traceroute fills
 // entry (i, j) — member-row indices. The second result is the best
-// concrete measurement achieving it (freshly allocated; the batch
-// selection loops use entryProb with a caller-owned slot instead).
+// concrete measurement achieving it (nil when none is possible).
 func (s *Selector) EntryProb(i, j int, rng *rand.Rand) (float64, *Measurement) {
-	var m Measurement
-	p := s.entryProb(i, j, rng, &m)
-	if p == 0 {
+	p, v, t := s.score(i, j)
+	if v < 0 {
 		return 0, nil
 	}
+	m := s.materialize(i, j, p, v, t, rng)
 	return p, &m
 }
 
-// entryProb is the allocation-free core of EntryProb: it fills out with
-// the best concrete measurement and returns its probability (0 when no
-// measurement is possible, leaving out untouched).
-func (s *Selector) entryProb(i, j int, rng *rand.Rand, out *Measurement) float64 {
-	asI, asJ := s.Members[i], s.Members[j]
-	bestP := 0.0
-	bestV, bestT := -1, -1
+// score rates every (VP category, target category) strategy available to
+// the ordered pair (i, j) and returns the best P with the indices of its
+// winning categories (first in key order on ties; v = t = -1 and P = 0
+// when the pair has no possible measurement). It draws nothing from the
+// RNG, so a batch can score a pair once and replay its draws later.
+func (s *Selector) score(i, j int) (bestP float64, bestV, bestT int) {
+	bestV, bestT = -1, -1
 	vcats := s.vpCategories(i)
 	tcats := s.targetsFor(j)
 	entryPen := s.entryPenaltyFor(i, j)
@@ -455,49 +507,113 @@ func (s *Selector) entryProb(i, j int, rng *rand.Rand, out *Measurement) float64
 	for vi := range vcats {
 		vc := &vcats[vi]
 		vbase := vc.key * numTgtKeys
-		nv := float64(len(vc.vps))
+		nv := float64(vc.n)
 		for ti := range tcats {
 			tc := &tcats[ti]
 			id := vbase + tc.key
+			// Strategy ids rise with (vi, ti), so the sorted penalty list
+			// is merge-walked alongside.
 			pen := entryPen
-			if pens != nil {
-				if p := pens[id]; p != 0 {
-					pen *= p
-				}
+			for len(pens) > 0 && int(pens[0].id) < id {
+				pens = pens[1:]
+			}
+			if len(pens) > 0 && int(pens[0].id) == id {
+				pen *= pens[0].f
+			}
+			// The pool-size boost is a mild tie-breaker (§3.3.2), not a
+			// driver: the learned per-strategy rate dominates. Its factor
+			// is below 1, so a rate·pen that cannot beat bestP skips it.
+			rp := s.rate[id] * pen
+			if rp <= bestP {
+				continue
 			}
 			avail := nv * float64(len(tc.tgts))
 			boost := avail / (avail + 3)
-			// The pool-size boost is a mild tie-breaker (§3.3.2), not a
-			// driver: the learned per-strategy rate dominates.
-			p := s.baseRate(id) * pen * (0.85 + 0.15*boost)
+			p := rp * (0.85 + 0.15*boost)
 			if p > bestP {
 				bestP = p
 				bestV, bestT = vi, ti
 			}
 		}
 	}
-	if bestV < 0 {
-		return 0
-	}
-	// Materialize the concrete measurement only for the winning category.
-	vc := &vcats[bestV]
-	tc := &tcats[bestT]
-	*out = Measurement{
-		VP:     s.pickVP(vc.vps, vc.idxs, i, rng),
+	return bestP, bestV, bestT
+}
+
+// materialize builds the measurement of ordered pair (i, j) from its
+// winning categories v and t, drawing a biased VP and then a target.
+func (s *Selector) materialize(i, j int, p float64, v, t int, rng *rand.Rand) Measurement {
+	vc := &s.vpCats[i][v]
+	tc := &s.tgtCats[j][t]
+	return Measurement{
+		VP:     s.pickVP(vc, i, rng),
 		Target: tc.tgts[rng.Intn(len(tc.tgts))],
-		LinkI:  asI, LinkJ: asJ,
-		Strat: strategyFromKeys(vc.key, tc.key), P: bestP,
+		LinkI:  s.Members[i], LinkJ: s.Members[j],
+		Strat: strategyFromKeys(vc.key, tc.key), P: p,
 	}
-	return bestP
+}
+
+// int31nLim returns the bound above which math/rand's Int31n(n) rejects a
+// draw; for a power of two, which Int31n masks instead, it is MaxInt32.
+func int31nLim(n int) int32 {
+	return int32((1 << 31) - 1 - (1<<31)%uint32(n))
+}
+
+// skipIntn advances rng exactly as rng.Intn(n) does, for the n (at most
+// MaxInt32) that lim was computed from, without the modulo. It relies on
+// math/rand (v1) keeping Int31n's rejection loop — redraw Int31 while it
+// exceeds the bound, one masked draw for a power of two — which the Go 1
+// compatibility promise freezes along with the rest of its value stream.
+func skipIntn(rng *rand.Rand, lim int32) {
+	for rng.Int31() > lim {
+	}
+}
+
+// skipVP advances rng exactly as pickVP on vc does.
+func skipVP(vc *vpCat, rng *rand.Rand) {
+	if vc.n == 1 {
+		return
+	}
+	if vc.n > 24 {
+		for k := 0; k < 24; k++ {
+			skipIntn(rng, vc.lim)
+		}
+	}
+	rng.Float64()
 }
 
 func (s *Selector) penaltyFor(i, j, strat int) float64 {
-	if m := s.penalty[i*len(s.Members)+j]; m != nil {
-		if p := m[strat]; p != 0 {
-			return p
-		}
+	pens := s.penalty[i*len(s.Members)+j]
+	if k, ok := findPen(pens, strat); ok {
+		return pens[k].f
 	}
 	return 1
+}
+
+// setPenalty sets the factor of strategy id at ordered-pair key; a factor
+// of 0 means no penalty and removes it.
+func (s *Selector) setPenalty(key, id int, f float64) {
+	pens := s.penalty[key]
+	k, found := findPen(pens, id)
+	switch {
+	case f == 0 && !found:
+		return
+	case f == 0 && len(pens) == 1:
+		delete(s.penalty, key)
+		return
+	case f == 0:
+		pens = append(pens[:k], pens[k+1:]...)
+	case found:
+		pens[k].f = f
+	default:
+		pens = slices.Insert(pens, k, stratPen{id: uint8(id), f: f})
+	}
+	s.penalty[key] = pens
+}
+
+// findPen returns the position of strategy id in a sorted penalty list, or
+// where it would be inserted, and whether it is there.
+func findPen(pens []stratPen, id int) (int, bool) {
+	return slices.BinarySearchFunc(pens, id, func(p stratPen, id int) int { return cmp.Compare(int(p.id), id) })
 }
 
 func (s *Selector) entryPenaltyFor(i, j int) float64 {
@@ -510,40 +626,38 @@ func (s *Selector) entryPenaltyFor(i, j int) float64 {
 	return 1
 }
 
-// pickVP selects a vantage point with probability proportional to its
-// informativeness score for member row i (biased random, §3.3.2). idxs
-// holds the VPs' indices into s.vps (parallel to vps) for the score table.
-func (s *Selector) pickVP(vps []VP, idxs []int32, i int, rng *rand.Rand) VP {
-	if len(vps) == 1 {
-		return vps[0]
+// pickVP selects a vantage point of category vc with probability
+// proportional to its informativeness score for member row i (biased
+// random, §3.3.2).
+func (s *Selector) pickVP(vc *vpCat, i int, rng *rand.Rand) VP {
+	if vc.n == 1 {
+		return s.vps[vc.at(0)]
 	}
 	// Large categories (hundreds of "elsewhere" probes) are sampled: a
 	// biased pick among 24 random candidates behaves like the full scan
 	// at a fraction of the cost.
-	if len(vps) > 24 {
-		if cap(s.sampleScratch) < 24 {
-			s.sampleScratch = make([]VP, 24)
-			s.idxScratch = make([]int32, 24)
+	sample := s.sampleScratch[:0]
+	if vc.n > 24 {
+		for k := 0; k < 24; k++ {
+			sample = append(sample, vc.at(rng.Intn(vc.n)))
 		}
-		sample, sidx := s.sampleScratch[:24], s.idxScratch[:24]
-		for k := range sample {
-			pick := rng.Intn(len(vps))
-			sample[k] = vps[pick]
-			sidx[k] = idxs[pick]
+	} else {
+		for k := 0; k < vc.n; k++ {
+			sample = append(sample, vc.at(k))
 		}
-		vps, idxs = sample, sidx
 	}
-	if cap(s.weightScratch) < len(vps) {
-		s.weightScratch = make([]float64, len(vps))
+	s.sampleScratch = sample
+	if cap(s.weightScratch) < len(sample) {
+		s.weightScratch = make([]float64, len(sample))
 	}
-	weights := s.weightScratch[:len(vps)]
+	weights := s.weightScratch[:len(sample)]
 	total := 0.0
 	scores := s.vpScore[i]
-	for k := range vps {
+	for k, vi := range sample {
 		w := 0.2
-		if scores != nil {
-			if c := &scores[idxs[k]]; c.total > 0 {
-				w += c.good / c.total
+		if len(scores) > 0 {
+			if c, ok := findVPCount(scores, s.canon[vi]); ok {
+				w += float64(scores[c].good) / float64(scores[c].total)
 			}
 		}
 		weights[k] = w
@@ -553,10 +667,10 @@ func (s *Selector) pickVP(vps []VP, idxs []int32, i int, rng *rand.Rand) VP {
 	for k, w := range weights {
 		r -= w
 		if r <= 0 {
-			return vps[k]
+			return s.vps[sample[k]]
 		}
 	}
-	return vps[len(vps)-1]
+	return s.vps[sample[len(sample)-1]]
 }
 
 // SelectBatch chooses up to size measurements using ε-greedy
@@ -576,6 +690,12 @@ func (s *Selector) SelectBatch(size int, eps float64, rowFill []int, need []int,
 	if s.pendingMark == nil {
 		s.pendingMark = make([]bool, n*n)
 		s.perRowScratch = make([]int, n)
+		s.scores = make([]pairScore, n*n)
+	}
+	// Reports since the last batch may have changed any score.
+	if s.gen++; s.gen == 0 {
+		clear(s.scores)
+		s.gen = 1
 	}
 	pending := s.pendingMark
 	perRow := s.perRowScratch
@@ -585,14 +705,15 @@ func (s *Selector) SelectBatch(size int, eps float64, rowFill []int, need []int,
 	var out []Measurement
 	for len(out) < size {
 		explore := rng.Float64() < eps
-		var m *Measurement
+		var m Measurement
+		ok := false
 		if explore {
-			m = s.selectExplore(fill, need, has, pending, perRow, rng)
+			m, ok = s.selectExplore(fill, need, has, pending, perRow, rng)
 		}
-		if m == nil {
-			m = s.selectExploit(fill, need, has, pending, rng)
+		if !ok {
+			m, ok = s.selectExploit(fill, need, has, pending, rng)
 		}
-		if m == nil {
+		if !ok {
 			break // nothing measurable remains
 		}
 		i, j := s.Index[m.LinkI], s.Index[m.LinkJ]
@@ -600,7 +721,7 @@ func (s *Selector) SelectBatch(size int, eps float64, rowFill []int, need []int,
 		pending[j*n+i] = true
 		fill[i]++
 		fill[j]++
-		out = append(out, *m)
+		out = append(out, m)
 	}
 	// Clear the pending marks this batch set (bounded by the batch size,
 	// so clearing costs O(|out|), not O(n²)).
@@ -612,106 +733,188 @@ func (s *Selector) SelectBatch(size int, eps float64, rowFill []int, need []int,
 	return out
 }
 
+// memo returns the batch's score of ordered pair (i, j), scoring it on
+// first use.
+func (s *Selector) memo(i, j int) *pairScore {
+	e := &s.scores[i*len(s.Members)+j]
+	if e.gen != s.gen {
+		p, v, t := s.score(i, j)
+		*e = pairScore{p: p, gen: s.gen, v: int8(v), t: int8(t)}
+	}
+	return e
+}
+
+// drawPair replays the RNG draws of measuring link (i, j) from both sides
+// — orientation (i, j), then (j, i), each only when it has a possible
+// measurement — and, when keep is set, materializes the better one (the
+// (i, j) side on ties); the other side only advances the stream.
+func (s *Selector) drawPair(i, j int, keep bool, rng *rand.Rand) Measurement {
+	a, b := s.memo(i, j), s.memo(j, i)
+	useB := b.p > a.p
+	var m Measurement
+	if a.v >= 0 {
+		if keep && !useB {
+			m = s.materialize(i, j, a.p, int(a.v), int(a.t), rng)
+		} else {
+			skipVP(&s.vpCats[i][a.v], rng)
+			skipIntn(rng, s.tgtCats[j][a.t].lim)
+		}
+	}
+	if b.v >= 0 {
+		if keep && useB {
+			m = s.materialize(j, i, b.p, int(b.v), int(b.t), rng)
+		} else {
+			skipVP(&s.vpCats[j][b.v], rng)
+			skipIntn(rng, s.tgtCats[i][b.t].lim)
+		}
+	}
+	return m
+}
+
 // selectExploit picks the row with the fewest filled entries that has some
 // entry with P > 0.1, then the entry with the highest probability (§3.3.1).
-func (s *Selector) selectExploit(fill, need []int, has func(i, j int) bool, pending []bool, rng *rand.Rand) *Measurement {
+// Every open entry of every row it scans is measured from both sides in the
+// RNG stream, the winner's included, so the rows before the winning one and
+// the winning row itself replay their draws in scan order.
+func (s *Selector) selectExploit(fill, need []int, has func(i, j int) bool, pending []bool, rng *rand.Rand) (Measurement, bool) {
 	n := len(s.Members)
-	order := s.rowsByFill(fill, need, rng)
-	for _, i := range order {
-		bestP := 0.1
-		var best *Measurement
+	for _, i := range s.rowsByFill(fill, need, rng) {
+		cols := s.colScratch[:0]
+		bestP, bestJ := 0.1, -1
 		for j := 0; j < n; j++ {
 			if j == i || has(i, j) || pending[i*n+j] {
 				continue
 			}
+			cols = append(cols, j)
 			// A link can be measured from either side: probe near i
 			// toward j, or near j toward i. Take the better orientation.
-			p := s.entryProb(i, j, rng, &s.measureA)
-			m := &s.measureA
-			if p == 0 {
-				m = nil
+			p := s.memo(i, j).p
+			if p2 := s.memo(j, i).p; p2 > p {
+				p = p2
 			}
-			if p2 := s.entryProb(j, i, rng, &s.measureB); p2 > p {
-				p, m = p2, &s.measureB
-			}
-			if p > bestP && m != nil {
-				bestP = p
-				s.measureBest = *m
-				s.measureBest.P = p
-				best = &s.measureBest
+			if p > bestP {
+				bestP, bestJ = p, j
 			}
 		}
-		if best != nil {
-			return best
+		s.colScratch = cols
+		var best Measurement
+		for _, j := range cols {
+			if m := s.drawPair(i, j, j == bestJ, rng); j == bestJ {
+				best = m
+			}
+		}
+		if bestJ >= 0 {
+			return best, true
 		}
 	}
-	return nil
+	return Measurement{}, false
 }
 
 // selectExplore picks the (i, j) minimizing fill[i]+fill[j] that has any
 // possible measurement, capped at one exploration per row per batch and
-// one per entry ever (§3.3.1).
-func (s *Selector) selectExplore(fill, need []int, has func(i, j int) bool, pending []bool, perRow []int, rng *rand.Rand) *Measurement {
+// one per entry ever (§3.3.1); ties go to the smaller (i, j). Rather than
+// sorting every open pair, it walks fill sums upward and, for each sum,
+// pairs every eligible row i with the rows j > i of the complementary
+// fill: the same (sum, i, j) order, stopping at the first feasible pair.
+func (s *Selector) selectExplore(fill, need []int, has func(i, j int) bool, pending []bool, perRow []int, rng *rand.Rand) (Measurement, bool) {
 	n := len(s.Members)
-	cands := s.candSorter.cands[:0]
+	elig := s.eligScratch[:0]
 	for i := 0; i < n; i++ {
-		if need[i] <= 0 || perRow[i] >= 1 {
-			continue
+		if need[i] > 0 && perRow[i] < 1 {
+			elig = append(elig, i)
 		}
-		for j := i + 1; j < n; j++ {
-			if has(i, j) || pending[i*n+j] || s.explored[i*n+j] {
+	}
+	s.eligScratch = elig
+	if len(elig) == 0 {
+		return Measurement{}, false
+	}
+	lo, hi := fillRange(fill)
+	byFill, start := s.sortByFill(s.allRows(n), fill, lo, hi)
+	for sum := 2 * lo; sum <= 2*hi; sum++ {
+		for _, i := range elig {
+			f := sum - fill[i]
+			if f < lo || f > hi {
 				continue
 			}
-			cands = append(cands, exploreCand{i, j, fill[i] + fill[j]})
-		}
-	}
-	s.candSorter.cands = cands
-	if len(cands) == 0 {
-		return nil
-	}
-	// The (sum, i, j) comparator is a total order (pairs are unique), so
-	// an unstable sort yields the same permutation sort.Slice did.
-	sort.Sort(&s.candSorter)
-	// Walk candidates in order until one has a feasible measurement,
-	// trying both orientations and keeping the better one.
-	for _, c := range cands {
-		p1 := s.entryProb(c.i, c.j, rng, &s.measureA)
-		m := &s.measureA
-		if p1 == 0 {
-			m = nil
-		}
-		if p2 := s.entryProb(c.j, c.i, rng, &s.measureB); m == nil || (p2 != 0 && p2 > p1) {
-			if p2 == 0 {
-				m = nil
-			} else {
-				m = &s.measureB
+			bucket := byFill[start[f-lo]:start[f-lo+1]]
+			for _, j := range bucket[sort.SearchInts(bucket, i+1):] {
+				if has(i, j) || pending[i*n+j] || s.explored[i*n+j] {
+					continue
+				}
+				// Infeasible pairs draw nothing.
+				if s.memo(i, j).v < 0 && s.memo(j, i).v < 0 {
+					continue
+				}
+				m := s.drawPair(i, j, true, rng)
+				m.Exploration = true
+				s.explored[i*n+j] = true
+				perRow[i]++
+				perRow[j]++
+				return m, true
 			}
 		}
-		if m != nil {
-			m.Exploration = true
-			s.explored[c.i*n+c.j] = true
-			perRow[c.i]++
-			perRow[c.j]++
-			return m
+	}
+	return Measurement{}, false
+}
+
+// allRows returns the row indices 0..n-1 (selector scratch).
+func (s *Selector) allRows(n int) []int {
+	if len(s.rowIDs) != n {
+		s.rowIDs = make([]int, n)
+		for i := range s.rowIDs {
+			s.rowIDs[i] = i
 		}
 	}
-	return nil
+	return s.rowIDs
+}
+
+// sortByFill orders rows by increasing fill, keeping their given order
+// among equal fills (a counting sort over the fill range [lo, hi], the
+// order sort.Stable gives). Rows of fill f are sorted[start[f-lo]:
+// start[f-lo+1]]. Both results are selector scratch, valid until the
+// next call.
+func (s *Selector) sortByFill(rows, fill []int, lo, hi int) (sorted, start []int) {
+	start = append(s.fillStart[:0], make([]int, hi-lo+2)...)
+	for _, i := range rows {
+		start[fill[i]-lo+1]++
+	}
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	next := append(s.fillNext[:0], start...)
+	sorted = slices.Grow(s.fillSorted[:0], len(rows))[:len(rows)]
+	for _, i := range rows {
+		k := fill[i] - lo
+		sorted[next[k]] = i
+		next[k]++
+	}
+	s.fillStart, s.fillNext, s.fillSorted = start, next, sorted
+	return sorted, start
 }
 
 // rowsByFill orders member rows that still need entries by increasing fill
-// count, breaking ties randomly (§3.3.1). The returned slice is selector
-// scratch, valid until the next call.
+// count, breaking ties randomly (§3.3.1): a shuffle, then a stable sort by
+// fill. The returned slice is selector scratch, valid until the next call.
 func (s *Selector) rowsByFill(fill, need []int, rng *rand.Rand) []int {
-	rows := s.rowSorter.rows[:0]
+	rows := s.rowScratch[:0]
 	for i := range fill {
 		if need[i] > 0 {
 			rows = append(rows, i)
 		}
 	}
+	s.rowScratch = rows
 	rng.Shuffle(len(rows), func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
-	s.rowSorter.rows, s.rowSorter.fill = rows, fill
-	sort.Stable(&s.rowSorter)
-	return rows
+	lo, hi := fillRange(fill)
+	sorted, _ := s.sortByFill(rows, fill, lo, hi)
+	return sorted
+}
+
+// fillRange returns the smallest and largest fill count (0, -1 if none).
+func fillRange(fill []int) (lo, hi int) {
+	if len(fill) == 0 {
+		return 0, -1
+	}
+	return slices.Min(fill), slices.Max(fill)
 }
 
 // Report feeds back whether a measurement was informative for its target
@@ -727,6 +930,7 @@ func (s *Selector) Report(m Measurement, informative bool) {
 	if informative {
 		s.stratSucc[id]++
 	}
+	s.rate[id] = s.stratSucc[id] / s.stratTrial[id]
 	n := len(s.Members)
 	i, okI := s.Index[m.LinkI]
 	j, okJ := s.Index[m.LinkJ]
@@ -736,43 +940,38 @@ func (s *Selector) Report(m Measurement, informative bool) {
 			a, b = b, a
 		}
 		if informative {
-			if pens := s.penalty[i*n+j]; pens != nil {
-				pens[id] = 0
-			}
+			s.setPenalty(i*n+j, id, 0)
 			s.entryPenalty[a*n+b] = 0
 		} else {
-			pens := s.penalty[i*n+j]
-			if pens == nil {
-				pens = make([]float64, NumStrategies)
-				s.penalty[i*n+j] = pens
-			}
-			pens[id] = s.penaltyFor(i, j, id) * 0.5
+			s.setPenalty(i*n+j, id, s.penaltyFor(i, j, id)*0.5)
 			s.entryPenalty[a*n+b] = s.entryPenaltyFor(i, j) * 0.7
 		}
 	}
 	if okI {
-		scores := s.vpScore[i]
-		if scores == nil {
-			scores = make([]counter, len(s.vps))
-			s.vpScore[i] = scores
-		}
 		if vi, ok := s.vpIndexOf(m.VP); ok {
-			scores[vi].total++
+			scores := s.vpScore[i]
+			c, found := findVPCount(scores, vi)
+			if !found {
+				scores = slices.Insert(scores, c, vpCount{vp: vi})
+				s.vpScore[i] = scores
+			}
+			scores[c].total++
 			if informative {
-				scores[vi].good++
+				scores[c].good++
 			}
 		}
 	}
 }
 
+// findVPCount returns the position of vp in a row's sorted score list, or
+// where it would be inserted, and whether it is there.
+func findVPCount(scores []vpCount, vp int32) (int, bool) {
+	return slices.BinarySearchFunc(scores, vp, func(c vpCount, vp int32) int { return cmp.Compare(c.vp, vp) })
+}
+
 // vpIndexOf resolves a VP value back to its index in s.vps.
 func (s *Selector) vpIndexOf(vp VP) (int32, bool) {
-	if s.vpIndex == nil {
-		s.vpIndex = make(map[VP]int32, len(s.vps))
-		for i, v := range s.vps {
-			s.vpIndex[v] = int32(i)
-		}
-	}
+	s.indexVPs()
 	vi, ok := s.vpIndex[vp]
 	return vi, ok
 }

@@ -70,10 +70,14 @@ func TestStrategyIDRoundTrip(t *testing.T) {
 
 // catVPs and catTgts look up one category's pool in the dense sorted
 // category lists (test convenience; missing key = empty pool).
-func catVPs(cats []vpCat, key int) []VP {
+func catVPs(s *Selector, cats []vpCat, key int) []VP {
 	for i := range cats {
 		if cats[i].key == key {
-			return cats[i].vps
+			vps := make([]VP, cats[i].n)
+			for k := range vps {
+				vps[k] = s.vps[cats[i].at(k)]
+			}
+			return vps
 		}
 	}
 	return nil
@@ -93,13 +97,13 @@ func TestVPCategorization(t *testing.T) {
 	// AS 1 (row 0) hosts a VP in the metro: category (SameMetro, VPInAS).
 	cats := s.vpCategories(s.Index[1])
 	key := int(asgraph.SameMetro)*int(numVPTopo) + int(VPInAS)
-	if got := catVPs(cats, key); len(got) != 1 || got[0].AS != 1 {
+	if got := catVPs(s, cats, key); len(got) != 1 || got[0].AS != 1 {
 		t.Fatalf("cats[%d] = %+v", key, got)
 	}
 	// VP in AS 0 (provider, not in cone of 1) at NYC: different continents
 	// NL vs US ⇒ Elsewhere, VPOutside.
 	key2 := int(asgraph.Elsewhere)*int(numVPTopo) + int(VPOutside)
-	if got := catVPs(cats, key2); len(got) != 1 || got[0].AS != 0 {
+	if got := catVPs(s, cats, key2); len(got) != 1 || got[0].AS != 0 {
 		t.Fatalf("cats[%d] = %+v", key2, got)
 	}
 	// Category keys come back sorted (the selection loops rely on it).
@@ -108,15 +112,25 @@ func TestVPCategorization(t *testing.T) {
 			t.Fatalf("category keys not sorted: %+v", cats)
 		}
 	}
-	// Parallel index slices point back into s.vps.
+	// Every VP of s.vps is enumerated exactly once, in vps order within its
+	// category, and its canonical index resolves to the same VP value.
+	seen := make([]bool, len(s.vps))
 	for _, c := range cats {
-		if len(c.idxs) != len(c.vps) {
-			t.Fatalf("idxs/vps length mismatch: %+v", c)
-		}
-		for k := range c.vps {
-			if s.vps[c.idxs[k]] != c.vps[k] {
-				t.Fatalf("idx %d does not resolve to %+v", c.idxs[k], c.vps[k])
+		prev := int32(-1)
+		for k := 0; k < c.n; k++ {
+			vi := c.at(k)
+			if vi <= prev || seen[vi] {
+				t.Fatalf("category %d: index %d out of order or repeated", c.key, vi)
 			}
+			prev, seen[vi] = vi, true
+			if s.vps[s.canon[vi]] != s.vps[vi] {
+				t.Fatalf("canonical index %d does not resolve to %+v", s.canon[vi], s.vps[vi])
+			}
+		}
+	}
+	for vi, ok := range seen {
+		if !ok {
+			t.Fatalf("VP %+v in no category", s.vps[vi])
 		}
 	}
 }
@@ -127,7 +141,7 @@ func TestVPInConeCategory(t *testing.T) {
 	// in AS 3: in-AS; probe of AS 1 relative to AS 3: outside.
 	cats := s.vpCategories(s.Index[3])
 	key := int(asgraph.SameCountry)*int(numVPTopo) + int(VPInAS)
-	if got := catVPs(cats, key); len(got) != 1 || got[0].AS != 3 {
+	if got := catVPs(s, cats, key); len(got) != 1 || got[0].AS != 3 {
 		t.Fatalf("in-AS same-country VP miscategorized: %+v", cats)
 	}
 }
@@ -210,11 +224,9 @@ func TestPenaltyLowersEntryProb(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p0, m := s.EntryProb(0, 1, rng)
 	// Penalize every strategy for the entry to force the drop.
-	pens := make([]float64, NumStrategies)
-	for id := range pens {
-		pens[id] = 0.25
+	for id := 0; id < NumStrategies; id++ {
+		s.setPenalty(0*len(s.Members)+1, id, 0.25)
 	}
-	s.penalty[0*len(s.Members)+1] = pens
 	p1, _ := s.EntryProb(0, 1, rng)
 	if p1 >= p0 {
 		t.Fatalf("penalty should lower P: %v -> %v", p0, p1)
@@ -335,16 +347,17 @@ func TestPickVPBiasedByScore(t *testing.T) {
 		}
 		idxs[k] = vi
 	}
+	vc := &vpCat{n: len(idxs), own: idxs}
 	// Give VP (1,0) a perfect score for member AS 1 (row 0) and VP (3,1) a
 	// terrible one.
 	row := s.Index[1]
-	scores := make([]counter, len(s.vps))
-	scores[idxs[0]] = counter{good: 10, total: 10}
-	scores[idxs[1]] = counter{good: 0, total: 10}
-	s.vpScore[row] = scores
+	s.vpScore[row] = []vpCount{
+		{vp: idxs[0], good: 10, total: 10},
+		{vp: idxs[1], good: 0, total: 10},
+	}
 	wins := 0
 	for k := 0; k < 1000; k++ {
-		if s.pickVP(vps, idxs, row, rng) == vps[0] {
+		if s.pickVP(vc, row, rng) == vps[0] {
 			wins++
 		}
 	}
@@ -383,5 +396,52 @@ func TestBootstrapPlan(t *testing.T) {
 	tiny := NewSelector(g, 0, []int{1}, nil, nil)
 	if p := tiny.BootstrapPlan(2, 50, rng); p != nil {
 		t.Fatalf("single-member selector should have no plan")
+	}
+}
+
+// countingSource counts the Int63 draws a rand.Rand makes.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 { c.draws++; return c.Source.Int63() }
+
+// TestSkipDrawsMatchRNG checks that the replay path advances the stream
+// exactly as the draws it stands in for: skipIntn as rng.Intn(n), skipVP
+// as pickVP on a category of n VPs. skipIntn relies on math/rand (v1)
+// keeping Int31n's rejection loop, frozen by the Go 1 compatibility
+// promise; if that ever changed, this test would fail first.
+func TestSkipDrawsMatchRNG(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 16, 24, 25, 64, 100, 1<<20 + 1} {
+		src := &countingSource{Source: rand.NewSource(int64(n))}
+		want, got := rand.New(src), rand.New(rand.NewSource(int64(n)))
+		const reps = 20000
+		lim := int31nLim(n)
+		for k := 0; k < reps; k++ {
+			want.Intn(n)
+			skipIntn(got, lim)
+		}
+		if want.Int63() != got.Int63() {
+			t.Fatalf("n=%d: skipIntn diverged from Intn", n)
+		}
+		if n == 1<<20+1 && src.draws <= reps+1 {
+			t.Fatalf("n=%d: %d draws for %d Intn, no rejection exercised", n, src.draws, reps)
+		}
+
+		vps := make([]VP, n)
+		own := make([]int32, n)
+		for k := range vps {
+			vps[k], own[k] = VP{AS: k, Metro: 0}, int32(k)
+		}
+		s := NewSelector(probeGraph(), 0, []int{1, 2}, vps, nil)
+		vc := &vpCat{n: n, lim: lim, own: own}
+		for k := 0; k < 1000; k++ {
+			s.pickVP(vc, 0, want)
+			skipVP(vc, got)
+		}
+		if want.Int63() != got.Int63() {
+			t.Fatalf("n=%d: skipVP diverged from pickVP", n)
+		}
 	}
 }

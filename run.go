@@ -236,6 +236,11 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 	res.RankHistory = rres.History
 	res.Estimate = est
 	res.StrategyRates = sel.StrategyRates()
+	// Callers keep Results (a batch, a benchmark's passes), so drop the
+	// append growth slack of the per-measurement record.
+	if len(res.Calibrations) < cap(res.Calibrations) {
+		res.Calibrations = append(make([]Calibration, 0, len(res.Calibrations)), res.Calibrations...)
+	}
 	res.Timings.RankLoop = time.Since(phaseStart)
 	allocPhase(&res.Timings.Allocs.RankLoop)
 	if err := ctx.Err(); err != nil {

@@ -123,6 +123,23 @@ func TestRunStrictBudget(t *testing.T) {
 	}
 }
 
+// TestRunCalibrationsExactLength checks that a finished run retains no
+// append growth slack in its per-measurement record.
+func TestRunCalibrationsExactLength(t *testing.T) {
+	p := NewPipeline(smallWorld(33))
+	p.SeedPublicMeasurements(5, rand.New(rand.NewSource(1)))
+	cfg := DefaultConfig()
+	cfg.Rank.MaxRank = 5
+	cfg.Rank.Iterations = 3
+	res := mustRun(t, p, 0, cfg)
+	if len(res.Calibrations) == 0 {
+		t.Fatalf("run recorded no measurements")
+	}
+	if c := cap(res.Calibrations); c != len(res.Calibrations) {
+		t.Fatalf("Calibrations cap %d, len %d", c, len(res.Calibrations))
+	}
+}
+
 // TestRunSentinels pins the error-path contract of the single entry
 // point: Run propagates its sentinel errors (including context
 // cancellation) unchanged.
