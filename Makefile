@@ -25,9 +25,12 @@ test:
 # check is the pre-merge gate: vet everything, then run the engine
 # package (and the rest of the tree) under the race detector. The
 # engine runs metros concurrently over shared read-only state, so a
-# race-clean pass is part of its contract.
+# race-clean pass is part of its contract. perfbench/ is a nested module
+# that `go build ./...` never compiles, yet it reads the pipeline's
+# Result, PhaseTimings and ALS API, so it is vetted here as well.
 check:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 	$(GO) test -race ./internal/engine/... ./...
 
 # bench runs the hot-path micro-benchmarks at the CI trajectory scale and

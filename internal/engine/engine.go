@@ -235,22 +235,25 @@ func (e *Engine) RunAll(ctx context.Context, cfg Config) (*MultiResult, error) {
 				})
 				t0 := time.Now()
 				res, err := e.pipe.Snapshot().Run(runCtx, metro, mcfg)
+				var ms MetroStats
+				if res != nil {
+					ms = MetroStats{
+						Metro: metro, Name: name, Seed: mcfg.Seed, Worker: worker,
+						Wall:                  time.Since(t0),
+						Measurements:          res.Measurements,
+						BootstrapMeasurements: res.BootstrapMeasurements,
+						UsedPriors:            usedPriors,
+						PriorMetros:           priorMetros,
+						Phases:                res.Timings,
+					}
+				}
 				if err != nil {
 					if res != nil {
 						// A cancelled run returns its partial result: keep
 						// the telemetry of the phases that did run, so the
 						// batch's phase attribution covers aborted work.
-						stats[idx] = MetroStats{
-							Metro: metro, Name: name, Seed: mcfg.Seed, Worker: worker,
-							Wall:                  time.Since(t0),
-							Aborted:               true,
-							Measurements:          res.Measurements,
-							BootstrapMeasurements: res.BootstrapMeasurements,
-							UsedPriors:            usedPriors,
-							PriorMetros:           priorMetros,
-							Phases:                res.Timings,
-						}
-						ran[idx] = true
+						ms.Aborted = true
+						stats[idx], ran[idx] = ms, true
 					}
 					fail(fmt.Errorf("engine: metro %s (%d): %w", name, metro, err))
 					e.emit(runCtx, cfg.Events, Event{
@@ -258,15 +261,6 @@ func (e *Engine) RunAll(ctx context.Context, cfg Config) (*MultiResult, error) {
 						Worker: worker, Time: time.Now(), Err: err,
 					})
 					continue // drain remaining jobs; they abort on runCtx
-				}
-				ms := MetroStats{
-					Metro: metro, Name: name, Seed: mcfg.Seed, Worker: worker,
-					Wall:                  time.Since(t0),
-					Measurements:          res.Measurements,
-					BootstrapMeasurements: res.BootstrapMeasurements,
-					UsedPriors:            usedPriors,
-					PriorMetros:           priorMetros,
-					Phases:                res.Timings,
 				}
 				results[idx] = res
 				stats[idx] = ms

@@ -116,9 +116,14 @@ type Calibration struct {
 
 // PhaseTimings records wall-clock spent in each phase of a metro run, plus
 // the measurement pipeline's concurrency statistics, for the engine's
-// aggregated run statistics.
+// aggregated run statistics. The phase clock starts at call entry and the
+// four phases are consecutive, so Total() spans the whole Run or Rescore
+// call; the call's prologue (validation, pruning, the first estimate, the
+// features) falls into its first phase. Rescore has no bootstrap or rank
+// loop, so its prologue falls into Completion.
 type PhaseTimings struct {
-	// Bootstrap covers the per-strategy calibration measurements (§3.3.2).
+	// Bootstrap covers Run's prologue and the per-strategy calibration
+	// measurements (§3.3.2).
 	Bootstrap time.Duration
 	// RankLoop covers the iterative rank estimation with integrated
 	// targeted measurement (§3.2 + §3.3).
@@ -129,8 +134,8 @@ type PhaseTimings struct {
 	Threshold time.Duration
 	// Estimate is the wall-clock spent building and delta-refreshing the
 	// connectivity estimate E_m (obs.Store.Estimate / Store.Refresh).
-	// Like Measure.Wall it is a subset of Bootstrap+RankLoop — previously
-	// it was invisible inside RankLoop — so Total does not add it.
+	// Like Measure.Wall it is a subset of the phases, so Total does not
+	// add it.
 	Estimate time.Duration
 	// Measure counts the speculative fan-out work of the measurement
 	// pipeline (batches, launched/committed/discarded traceroutes,
@@ -138,10 +143,11 @@ type PhaseTimings struct {
 	Measure MeasureStats
 	// Allocs counts heap allocations attributed to each phase, sampled as
 	// runtime.ReadMemStats deltas at the same boundaries as the wall-clock
-	// fields. The runtime counter is process-global, so in a concurrent
-	// batch a phase's count includes whatever other goroutines allocated
-	// meanwhile — read it from single-run (or Workers=1) sessions when
-	// attributing allocations precisely.
+	// fields, so Allocs.Total() also spans the whole call. The runtime
+	// counter is process-global, so in a concurrent batch a phase's count
+	// includes whatever other goroutines allocated meanwhile — read it
+	// from single-run (or Workers=1) sessions when attributing
+	// allocations precisely.
 	Allocs PhaseAllocs
 }
 
@@ -159,7 +165,7 @@ func (a PhaseAllocs) Total() uint64 {
 	return a.Bootstrap + a.RankLoop + a.Completion + a.Threshold
 }
 
-// Total returns the summed phase wall-clock.
+// Total returns the summed phase wall-clock: the whole call.
 func (t PhaseTimings) Total() time.Duration {
 	return t.Bootstrap + t.RankLoop + t.Completion + t.Threshold
 }

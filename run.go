@@ -1,9 +1,10 @@
 package metascritic
 
-// Run is the package's single run entry point (the pre-v1
-// RunMetro/RunMetroContext wrappers are gone); every error Run returns
-// wraps one of the sentinel errors of errors.go. Rescore in stream.go is
-// the incremental counterpart for evolved worlds.
+// Run and Rescore (stream.go) are one metro pass (Fig. 2) built from the
+// three pieces below: the prologue startPass, the phase clock phaseClock
+// and the completion tail finish. Rescore is Run without the measurement
+// and rank-sweep steps. Every error either call returns wraps one of the
+// sentinel errors of errors.go.
 
 import (
 	"context"
@@ -14,6 +15,7 @@ import (
 
 	"metascritic/internal/als"
 	"metascritic/internal/asgraph"
+	"metascritic/internal/mat"
 	"metascritic/internal/obs"
 	"metascritic/internal/probe"
 	"metascritic/internal/rank"
@@ -23,6 +25,119 @@ import (
 // context's own cause (context.Canceled / context.DeadlineExceeded).
 func abortErr(metro int, phase string, cause error) error {
 	return fmt.Errorf("metascritic: metro %d: %s aborted: %w: %w", metro, phase, ErrCanceled, cause)
+}
+
+// phaseClock attributes a metro pass's wall-clock and heap allocations
+// (runtime.ReadMemStats deltas; see PhaseTimings.Allocs) to its phases.
+// It starts at call entry and each mark closes the phase running since
+// the previous one, so the phases tile the call.
+type phaseClock struct {
+	last    time.Time
+	mallocs uint64
+	mem     runtime.MemStats
+}
+
+func (c *phaseClock) start() {
+	c.last = time.Now()
+	runtime.ReadMemStats(&c.mem)
+	c.mallocs = c.mem.Mallocs
+}
+
+// mark adds the wall-clock and allocations since the previous mark to
+// *wall and *allocs.
+func (c *phaseClock) mark(wall *time.Duration, allocs *uint64) {
+	now := time.Now()
+	*wall += now.Sub(c.last)
+	runtime.ReadMemStats(&c.mem)
+	*allocs += c.mem.Mallocs - c.mallocs
+	c.last, c.mallocs = now, c.mem.Mallocs
+}
+
+// span adds f's wall-clock to *d without closing the current phase: a
+// sub-span such as PhaseTimings.Estimate.
+func (c *phaseClock) span(d *time.Duration, f func()) {
+	t0 := time.Now()
+	f()
+	*d += time.Since(t0)
+}
+
+// metroPass is what the prologue derived, and the Result to fill in.
+type metroPass struct {
+	cfg      Config
+	res      *Result
+	est      *obs.Estimate
+	features *mat.Matrix
+	rng      *rand.Rand
+	clock    phaseClock
+}
+
+// startPass is the prologue: it starts the clock, validates cfg and the
+// metro, polls ctx once (op names the call in the abort error), prunes the
+// members, seeds the RNG and builds the estimate and features.
+func (p *Pipeline) startPass(ctx context.Context, metro int, cfg Config, op string) (*metroPass, error) {
+	ps := &metroPass{cfg: cfg}
+	ps.clock.start()
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("metascritic: metro %d: %w", metro, err)
+	}
+	g := p.World.G
+	if metro < 0 || metro >= len(g.Metros) {
+		return nil, fmt.Errorf("metascritic: %w: metro index %d out of range [0,%d)", ErrInvalidConfig, metro, len(g.Metros))
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, abortErr(metro, op, err)
+	}
+	// Dense-metro pruning: Internet-scale head metros colocate thousands
+	// of ASes, and everything below is O(members²). Metros at or under
+	// the cap pass through untouched (the slice is returned as-is), so
+	// legacy-scale results stay byte-identical.
+	members := probe.TopMembers(g, g.Metros[metro].Members, cfg.MaxMetroMembers)
+	ps.res = &Result{Metro: metro, Members: members}
+	ps.rng = rand.New(rand.NewSource(cfg.Seed))
+	ps.clock.span(&ps.res.Timings.Estimate, func() {
+		ps.est = p.Store.Estimate(metro, members, cfg.NegPolicy)
+	})
+	ps.features = BuildFeatures(g, members)
+	return ps, nil
+}
+
+// finish is the completion tail: the final completion at opts' rank, λ
+// and feature weight (replaced first by the Appx. D.4 grid when tune is
+// set), warm-started from warm when it is compatible, one ctx poll, and
+// the λ holdout search (§3.1) on the same problem — holdouts are overlay
+// deltas, so it stays valid. Only the problems in use are built.
+func (p *Pipeline) finish(ctx context.Context, ps *metroPass, opts als.Options, tune bool, warm *als.Factors) (*Result, error) {
+	res, est := ps.res, ps.est
+	opts.Iterations = ps.cfg.Rank.Iterations + 5
+	opts.Seed = ps.cfg.Seed
+	var prob *als.Problem
+	if tune {
+		probNoF := als.NewProblem(est.E, est.Mask, nil)
+		probF := als.NewProblem(est.E, est.Mask, ps.features)
+		t := als.TuneWith(probNoF, probF, est.E, est.Mask, opts.Rank, ps.rng)
+		opts.Lambda, opts.FeatureWeight = t.Lambda, t.FeatureWeight
+		prob = probNoF
+		if opts.FeatureWeight > 0 {
+			prob = probF
+		}
+	} else {
+		features := ps.features
+		if opts.FeatureWeight <= 0 {
+			features = nil // bit-compatible with the features-off path
+		}
+		prob = als.NewProblem(est.E, est.Mask, features)
+	}
+	res.Lambda = opts.Lambda
+	res.FeatureWeight = opts.FeatureWeight
+	res.Ratings, res.Factors = prob.CompleteFactors(opts, nil, warm)
+	ps.clock.mark(&res.Timings.Completion, &res.Timings.Allocs.Completion)
+	if err := ctx.Err(); err != nil {
+		return res, abortErr(res.Metro, "completion", err)
+	}
+
+	res.Threshold = p.pickThreshold(est, prob, opts, ps.rng)
+	ps.clock.mark(&res.Timings.Threshold, &res.Timings.Allocs.Threshold)
+	return res, nil
 }
 
 // Run executes the full metAScritic loop (Fig. 2) on one metro. The config
@@ -43,60 +158,26 @@ func abortErr(metro int, phase string, cause error) error {
 // batch order (measure.go), so every field of Result except the Timings
 // telemetry is byte-identical across worker counts.
 func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("metascritic: metro %d: %w", metro, err)
+	ps, err := p.startPass(ctx, metro, cfg, "run")
+	if err != nil {
+		return nil, err
 	}
-	g := p.World.G
-	if metro < 0 || metro >= len(g.Metros) {
-		return nil, fmt.Errorf("metascritic: %w: metro index %d out of range [0,%d)", ErrInvalidConfig, metro, len(g.Metros))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, abortErr(metro, "run", err)
-	}
-	// Dense-metro pruning: Internet-scale head metros colocate thousands
-	// of ASes, and everything below is O(members²). Metros at or under
-	// the cap pass through untouched (the slice is returned as-is), so
-	// legacy-scale results stay byte-identical.
-	members := probe.TopMembers(g, g.Metros[metro].Members, cfg.MaxMetroMembers)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	res, est, rng := ps.res, ps.est, ps.rng
+	members := res.Members
 
-	sel := probe.NewSelector(g, metro, members, p.VPs(), p.Hitlist)
+	sel := probe.NewSelector(p.World.G, metro, members, p.VPs(), p.Hitlist)
 	boot := cfg.BootstrapPerStrategy
 	if cfg.Priors != nil {
 		sel.InitPriors(*cfg.Priors, cfg.PriorWeight)
 		boot = (boot + 4) / 5 // transferred priors need far fewer samples
 	}
 
-	res := &Result{Metro: metro, Members: members}
-
-	// Phase-attribution counters: heap allocations are sampled at the
-	// same boundaries as the wall-clock phases (5 ReadMemStats calls per
-	// run — negligible next to a phase). See PhaseTimings.Allocs for the
-	// process-global caveat.
-	var memStats runtime.MemStats
-	mallocs := func() uint64 {
-		runtime.ReadMemStats(&memStats)
-		return memStats.Mallocs
-	}
-	allocMark := mallocs()
-	allocPhase := func(counter *uint64) {
-		now := mallocs()
-		*counter += now - allocMark
-		allocMark = now
-	}
-
-	// Working estimate; delta-refreshed in place as measurements land
-	// (obs.Store.Refresh re-derives only the pairs the new traces
+	// The working estimate is delta-refreshed in place as measurements
+	// land (obs.Store.Refresh re-derives only the pairs the new traces
 	// touched, byte-identical to a full rebuild).
-	estStart := time.Now()
-	est := p.Store.Estimate(metro, members, cfg.NegPolicy)
-	res.Timings.Estimate += time.Since(estStart)
 	refresh := func() {
-		t0 := time.Now()
-		p.Store.Refresh(est)
-		res.Timings.Estimate += time.Since(t0)
+		ps.clock.span(&res.Timings.Estimate, func() { p.Store.Refresh(est) })
 	}
-	features := BuildFeatures(g, members)
 	budget := cfg.MaxMeasurements
 	workers := measureWorkers(cfg)
 	mstats := &res.Timings.Measure
@@ -104,7 +185,6 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 
 	// Bootstrap phase (§3.3.2): calibrate per-strategy success rates with
 	// a few random measurements per strategy before targeted selection.
-	phaseStart := time.Now()
 	if boot > 0 && budget <= 0 && cfg.StrictBudget {
 		return nil, fmt.Errorf("metascritic: metro %d: %w: budget %d cannot cover the %d-per-strategy bootstrap calibration",
 			metro, ErrBudgetExhausted, cfg.MaxMeasurements, boot)
@@ -136,8 +216,7 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 				metro, ErrBudgetExhausted, res.BootstrapMeasurements, len(plan))
 		}
 	}
-	res.Timings.Bootstrap = time.Since(phaseStart)
-	allocPhase(&res.Timings.Allocs.Bootstrap)
+	ps.clock.mark(&res.Timings.Bootstrap, &res.Timings.Allocs.Bootstrap)
 	if err := ctx.Err(); err != nil {
 		return res, abortErr(metro, "bootstrap", err)
 	}
@@ -227,11 +306,10 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 	}
 
 	// Rank estimation with integrated targeted measurement (§3.2 + §3.3).
-	phaseStart = time.Now()
 	rcfg := cfg.Rank
 	rcfg.Seed = cfg.Seed
 	rcfg.Stop = func() bool { return ctx.Err() != nil }
-	rres := rank.Estimate(est.E, est.Mask, features, topUp, rcfg)
+	rres := rank.Estimate(est.E, est.Mask, ps.features, topUp, rcfg)
 	res.Rank = rres.Rank
 	res.RankHistory = rres.History
 	res.Estimate = est
@@ -241,52 +319,11 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 	if len(res.Calibrations) < cap(res.Calibrations) {
 		res.Calibrations = append(make([]Calibration, 0, len(res.Calibrations)), res.Calibrations...)
 	}
-	res.Timings.RankLoop = time.Since(phaseStart)
-	allocPhase(&res.Timings.Allocs.RankLoop)
+	ps.clock.mark(&res.Timings.RankLoop, &res.Timings.Allocs.RankLoop)
 	if err := ctx.Err(); err != nil {
 		return res, abortErr(metro, "rank estimation", err)
 	}
 
-	// Final completion at the estimated rank. The featureless/featured
-	// problem pair is built once and shared across the tune grid, the
-	// final ratings and the λ-search holdout below (holdouts are overlay
-	// deltas, so the problems stay valid throughout).
-	phaseStart = time.Now()
-	opts := als.Options{
-		Rank:          rres.Rank,
-		Lambda:        rcfg.Lambda,
-		FeatureWeight: rcfg.FeatureWeight,
-		Iterations:    rcfg.Iterations + 5,
-		Seed:          cfg.Seed,
-	}
-	probNoF := als.NewProblem(est.E, est.Mask, nil)
-	var probF *als.Problem
-	if features != nil && features.Cols > 0 {
-		probF = als.NewProblem(est.E, est.Mask, features)
-	}
-	if cfg.Tune {
-		t := als.TuneWith(probNoF, probF, est.E, est.Mask, rres.Rank, rng)
-		opts.Lambda = t.Lambda
-		opts.FeatureWeight = t.FeatureWeight
-	}
-	res.Lambda = opts.Lambda
-	res.FeatureWeight = opts.FeatureWeight
-	prob := probNoF
-	if opts.FeatureWeight > 0 && probF != nil {
-		prob = probF
-	}
-	res.Ratings, res.Factors = prob.CompleteFactors(opts, nil, nil)
-	res.Timings.Completion = time.Since(phaseStart)
-	allocPhase(&res.Timings.Allocs.Completion)
-	if err := ctx.Err(); err != nil {
-		return res, abortErr(metro, "completion", err)
-	}
-
-	// λ search: hold out 20% of observed entries, score the completion on
-	// them, pick the F-maximizing threshold (§3.1).
-	phaseStart = time.Now()
-	res.Threshold = p.pickThreshold(est, prob, opts, rng)
-	res.Timings.Threshold = time.Since(phaseStart)
-	allocPhase(&res.Timings.Allocs.Threshold)
-	return res, nil
+	// Final completion at the estimated rank, then the λ search.
+	return p.finish(ctx, ps, als.Options{Rank: rres.Rank, Lambda: rcfg.Lambda, FeatureWeight: rcfg.FeatureWeight}, cfg.Tune, nil)
 }

@@ -6,14 +6,14 @@ package metascritic
 // the pipeline owns — the BGP topology and route cache, the address plan,
 // the probe hitlist and the observation store's evidence epoch — after
 // which Rescore re-derives a metro's result from the accumulated evidence
-// at a fraction of a full run's cost: no measurements, no rank sweep, no
-// hyperparameter grid, and an ALS warm-started from the previous factors.
+// at a fraction of a full run's cost. Rescore is Run's metro pass (run.go)
+// without its measurement, rank-sweep and tuning steps: the same prologue
+// and completion tail, with the ALS warm-started from the previous factors.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"metascritic/internal/als"
 	"metascritic/internal/netsim"
@@ -139,74 +139,28 @@ func (p *Pipeline) ApplyEvolution(batch *netsim.EventBatch) (EvolutionStats, err
 }
 
 // Rescore re-derives a metro's result from the evidence accumulated so
-// far, reusing the warm state of a previous full run: prev's estimated
-// rank and tuned hyperparameters stand in for the rank-estimation loop
-// and the tune grid, prev's ALS factors warm-start the completion, and no
-// measurements are issued. It is the incremental re-score path of the
-// streaming pipeline — after ApplyEvolution and a round of post-churn
-// traces, the estimate it returns is byte-identical to what a cold full
-// rerun over the same store would measure (obs.Store.Estimate is a pure
-// function of the store), at a small fraction of the cost.
+// far, reusing the warm state of a previous full run: prev's rank and
+// tuned hyperparameters stand in for the rank loop and the tune grid,
+// prev's ALS factors warm-start the completion, and no measurements are
+// issued. After ApplyEvolution and a round of post-churn traces, the
+// estimate it returns is byte-identical to what a cold full rerun over
+// the same store would measure (obs.Store.Estimate is a pure function of
+// the store); the ratings are not, as the completion is warm-started.
 //
-// Only cfg.NegPolicy, cfg.Rank.Iterations, cfg.Seed and the validation
-// rules are consulted; measurement knobs are ignored. The metro's member
-// list is re-read from the graph, so ASes that arrived since prev are
-// scored too (growth makes prev's factors dimensionally incompatible, in
-// which case the completion falls back to a cold start — still without
-// rank sweep or tuning).
+// Only cfg.NegPolicy, cfg.MaxMetroMembers, cfg.Rank.Iterations, cfg.Seed
+// and the validation rules are consulted. The member list is re-read from
+// the graph and pruned like Run's, so ASes that arrived since prev are
+// scored too (a changed member set makes prev's factors incompatible, and
+// the completion falls back to a cold start — still without rank sweep or
+// tuning).
 func (p *Pipeline) Rescore(ctx context.Context, prev *Result, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("metascritic: metro %d: %w", prev.Metro, err)
-	}
 	if prev.Ratings == nil || prev.Rank <= 0 {
 		return nil, fmt.Errorf("metascritic: %w: Rescore needs a completed previous result for metro %d", ErrInvalidConfig, prev.Metro)
 	}
-	g := p.World.G
-	metro := prev.Metro
-	if metro < 0 || metro >= len(g.Metros) {
-		return nil, fmt.Errorf("metascritic: %w: metro index %d out of range [0,%d)", ErrInvalidConfig, metro, len(g.Metros))
+	ps, err := p.startPass(ctx, prev.Metro, cfg, "rescore")
+	if err != nil {
+		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, abortErr(metro, "rescore", err)
-	}
-	members := g.Metros[metro].Members
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	res := &Result{
-		Metro:   metro,
-		Members: members,
-		Rank:    prev.Rank,
-	}
-
-	estStart := time.Now()
-	est := p.Store.Estimate(metro, members, cfg.NegPolicy)
-	res.Timings.Estimate = time.Since(estStart)
-	res.Estimate = est
-
-	phaseStart := time.Now()
-	features := BuildFeatures(g, members)
-	opts := als.Options{
-		Rank:          prev.Rank,
-		Lambda:        prev.Lambda,
-		FeatureWeight: prev.FeatureWeight,
-		Iterations:    cfg.Rank.Iterations + 5,
-		Seed:          cfg.Seed,
-	}
-	res.Lambda = opts.Lambda
-	res.FeatureWeight = opts.FeatureWeight
-	var prob *als.Problem
-	if opts.FeatureWeight > 0 {
-		prob = als.NewProblem(est.E, est.Mask, features)
-	} else {
-		prob = als.NewProblem(est.E, est.Mask, nil)
-	}
-	res.Ratings, res.Factors = prob.CompleteFactors(opts, nil, prev.Factors)
-	res.Timings.Completion = time.Since(phaseStart)
-	if err := ctx.Err(); err != nil {
-		return res, abortErr(metro, "rescore completion", err)
-	}
-
-	phaseStart = time.Now()
-	res.Threshold = p.pickThreshold(est, prob, opts, rng)
-	res.Timings.Threshold = time.Since(phaseStart)
-	return res, nil
+	ps.res.Rank, ps.res.Estimate = prev.Rank, ps.est
+	return p.finish(ctx, ps, als.Options{Rank: prev.Rank, Lambda: prev.Lambda, FeatureWeight: prev.FeatureWeight}, false, prev.Factors)
 }

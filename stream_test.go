@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -182,6 +183,74 @@ func TestRescoreMatchesColdRerun(t *testing.T) {
 	}
 	if inc.Threshold < 0.1 || inc.Threshold > 0.95 {
 		t.Fatalf("threshold %v outside the paper's operating range", inc.Threshold)
+	}
+	// The phase clock starts at entry, so the estimate build is inside
+	// the phases and the allocation counters are filled.
+	if inc.Timings.Estimate > inc.Timings.Total() {
+		t.Fatalf("estimate time %v exceeds the phase total %v", inc.Timings.Estimate, inc.Timings.Total())
+	}
+	if inc.Timings.Allocs.Total() == 0 {
+		t.Fatalf("Rescore recorded no phase allocations: %+v", inc.Timings.Allocs)
+	}
+}
+
+// TestRescorePrunedMetro pins that Rescore prunes a dense metro to
+// cfg.MaxMetroMembers exactly like Run: it scores prev's members, takes
+// the warm start, and measures the estimate a capped cold rerun measures.
+func TestRescorePrunedMetro(t *testing.T) {
+	w := smallWorld(12)
+	p := NewPipeline(w)
+	rng := rand.New(rand.NewSource(2))
+	p.SeedPublicMeasurements(6, rng)
+
+	metro := w.G.MetroOfName("Tokyo").Index
+	cfg := DefaultConfig()
+	cfg.BatchSize = 80
+	cfg.MaxMeasurements = 1200
+	cfg.Rank.MaxRank = 8
+	cfg.Rank.Iterations = 5
+	cfg.MaxMetroMembers = len(w.G.Metros[metro].Members) / 2
+	prev := mustRun(t, p, metro, cfg)
+	if len(prev.Members) != cfg.MaxMetroMembers {
+		t.Fatalf("Run kept %d members, want the cap %d", len(prev.Members), cfg.MaxMetroMembers)
+	}
+
+	spec := netsim.EvolveSpec{LinkDowns: 10, Depeerings: 3, LinkUps: 10, IXPJoins: 3, Workers: 2}
+	if _, _, err := p.Evolve(rng, spec); err != nil {
+		t.Fatalf("Evolve: %v", err)
+	}
+	p.SeedPublicMeasurements(4, rng)
+
+	ctx := context.Background()
+	inc, err := p.Rescore(ctx, prev, cfg)
+	if err != nil {
+		t.Fatalf("Rescore: %v", err)
+	}
+	if !slices.Equal(inc.Members, prev.Members) {
+		t.Fatalf("Rescore scored %d members, Run scored %d", len(inc.Members), len(prev.Members))
+	}
+	if inc.Factors.P.Rows != prev.Factors.P.Rows {
+		t.Fatalf("factor rows %d vs prev %d: the warm start was not taken", inc.Factors.P.Rows, prev.Factors.P.Rows)
+	}
+
+	coldCfg := cfg
+	coldCfg.MaxMeasurements = 0
+	coldCfg.BootstrapPerStrategy = 0
+	cold, err := p.Snapshot().Run(ctx, metro, coldCfg)
+	if err != nil {
+		t.Fatalf("cold Run: %v", err)
+	}
+	if !slices.Equal(inc.Estimate.E.Data, cold.Estimate.E.Data) {
+		t.Fatalf("estimate data differs from a capped cold rerun")
+	}
+	im, cm := inc.Estimate.Mask, cold.Estimate.Mask
+	if im.N() != cm.N() || im.Count() != cm.Count() {
+		t.Fatalf("masks differ: n %d vs %d, count %d vs %d", im.N(), cm.N(), im.Count(), cm.Count())
+	}
+	for i := 0; i < im.N(); i++ {
+		if !slices.Equal(im.RowEntries(i), cm.RowEntries(i)) {
+			t.Fatalf("mask row %d differs from a capped cold rerun", i)
+		}
 	}
 }
 
