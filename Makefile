@@ -6,12 +6,13 @@ GO ?= go
 BENCH_SCALE ?= 0.05
 BENCH_PATTERN = BenchmarkComplete|BenchmarkRankEstimate|BenchmarkPropagate$$|BenchmarkPropagateInto|BenchmarkRoutesToAll|BenchmarkVisibleLinks|BenchmarkRunMetro|BenchmarkRunAll|BenchmarkStore|BenchmarkEstimateHandler|BenchmarkSnapshotLoad|BenchmarkGenerate|BenchmarkEvolve|BenchmarkIncrementalRescore|BenchmarkSelectBatch
 BENCH_PKGS = . ./internal/als ./internal/rank ./internal/bgp ./internal/obs ./internal/api ./internal/api/snapshot ./internal/engine ./internal/netsim ./internal/probe
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= bench.json
 BENCH_BASELINE ?=
-# The most recent recorded report other than BENCH_OUT becomes the
-# default baseline, so every new report carries before/after deltas
-# against its predecessor (override with BENCH_BASELINE=<bench text>).
-BENCH_PREV = $(lastword $(sort $(filter-out $(BENCH_OUT),$(wildcard BENCH_PR*.json))))
+# The most recent recorded report other than BENCH_OUT (by PR number, so
+# BENCH_PR10 follows BENCH_PR9) becomes the default baseline, so every
+# new report carries before/after deltas against its predecessor
+# (override with BENCH_BASELINE=<bench text>).
+BENCH_PREV = $(lastword $(filter-out $(BENCH_OUT),$(shell ls BENCH_PR*.json 2>/dev/null | sort -V)))
 PROFILE_DIR ?= profiles
 
 .PHONY: build test check bench bench-engine bench-100k bench-compare profile race-run race-measure race-obs race-bgp race-api race-netsim race-stream clean
@@ -34,9 +35,10 @@ check:
 	$(GO) test -race ./internal/engine/... ./...
 
 # bench runs the hot-path micro-benchmarks at the CI trajectory scale and
-# writes $(BENCH_OUT). The baseline defaults to the previous BENCH_PR*.json
-# (so reports always carry before/after deltas); set BENCH_BASELINE to a
-# prior run's text output to override.
+# writes $(BENCH_OUT), by default the untracked bench.json; record a new
+# committed report with BENCH_OUT=BENCH_PR<n>.json. The baseline defaults
+# to the previous BENCH_PR*.json (so reports always carry before/after
+# deltas); set BENCH_BASELINE to a prior run's text output to override.
 # -p 1 serializes the per-package test binaries: by default go test
 # runs them concurrently, which lets one package's benchmark contend
 # with another's and inflates wall-clock numbers by 20-40%.

@@ -10,8 +10,9 @@ import (
 )
 
 // TestWatchDeterministic pins the watch loop's contract: equal seeds
-// give byte-identical tick reports (and output), and every tick advances
-// the epoch while classifying the full view delta.
+// give byte-identical tick reports (and output), every tick advances the
+// epoch while classifying the full view delta, and a tight route-cache
+// budget leaves the view deltas unchanged.
 func TestWatchDeterministic(t *testing.T) {
 	pf := cliflags.Pipeline{World: cliflags.World{Scale: 0.1, Seed: 11}, Public: 4}
 	opts := watchOptions{Ticks: 3, Interval: 0, Churn: 9, Dests: 48}
@@ -54,6 +55,31 @@ func TestWatchDeterministic(t *testing.T) {
 	}
 	t.Logf("3 ticks: %d events, %d view deltas, %d anomalies in tick 1",
 		totalEvents, totalDelta, len(reps1[0].Anomalies))
+
+	// A budget below one route view leaves each cache shard one entry,
+	// so every sweep over the 48 destinations evicts and recomputes. The
+	// view deltas must not change; only the counts of cached entries an
+	// invalidation pass dropped or kept may, since the budget holds fewer.
+	budgeted := opts
+	budgeted.CacheBudget = 1 << 10
+	reps3, err := watch(context.Background(), &bytes.Buffer{}, pf, budgeted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps3) != len(reps1) {
+		t.Fatalf("budgeted watch gave %d tick reports, unbounded %d", len(reps3), len(reps1))
+	}
+	for i := range reps3 {
+		free, capped := reps1[i], reps3[i]
+		if capped.Invalidated+capped.Retained >= free.Invalidated+free.Retained {
+			t.Fatalf("tick %d: budgeted cache held as many entries as the unbounded one: %+v vs %+v", i+1, capped, free)
+		}
+		free.Invalidated, free.Retained = 0, 0
+		capped.Invalidated, capped.Retained = 0, 0
+		if !reflect.DeepEqual(free, capped) {
+			t.Fatalf("tick %d: budgeted report differs from unbounded:\n%+v\n%+v", i+1, capped, free)
+		}
+	}
 }
 
 // TestWatchHonorsCancellation: a canceled context stops the loop between

@@ -1,32 +1,14 @@
 package api
 
-// Composable HTTP middleware for the serving daemon: per-client
-// token-bucket rate limiting and in-flight coalescing of identical GETs
-// (a hand-rolled singleflight — the whole repo is stdlib-only). Both are
-// plain func(http.Handler) http.Handler values, so cmd wiring composes
-// them with Chain in whatever order a deployment wants.
+// HTTP middleware for the serving daemon: a per-client token-bucket rate
+// limiter, the daemon's overload guard.
 
 import (
-	"bytes"
 	"net"
 	"net/http"
 	"sync"
 	"time"
 )
-
-// Middleware wraps a handler.
-type Middleware func(http.Handler) http.Handler
-
-// Chain applies middleware outermost-first: Chain(h, a, b) serves
-// a(b(h)).
-func Chain(h http.Handler, mw ...Middleware) http.Handler {
-	for i := len(mw) - 1; i >= 0; i-- {
-		h = mw[i](h)
-	}
-	return h
-}
-
-// --- rate limiting ---
 
 type bucket struct {
 	tokens   float64
@@ -91,18 +73,17 @@ func (l *RateLimiter) Allow(client string) bool {
 	return true
 }
 
-// Middleware returns the limiter as composable middleware.
-func (l *RateLimiter) Middleware() Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if !l.Allow(clientKey(r)) {
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests, "rate limit exceeded")
-				return
-			}
-			next.ServeHTTP(w, r)
-		})
-	}
+// Wrap returns next guarded by the limiter: a request whose client has
+// no token left gets 429 and never reaches next.
+func (l *RateLimiter) Wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !l.Allow(clientKey(r)) {
+			w.Header().Set("Retry-After", "1")
+			writeError(w, http.StatusTooManyRequests, "rate limit exceeded")
+			return
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // clientKey extracts the client identity from a request.
@@ -111,103 +92,4 @@ func clientKey(r *http.Request) string {
 		return host
 	}
 	return r.RemoteAddr
-}
-
-// --- coalescing ---
-
-// recorded is a buffered response, replayable to any number of waiters.
-type recorded struct {
-	status int
-	header http.Header
-	body   bytes.Buffer
-}
-
-func (rec *recorded) Header() http.Header {
-	if rec.header == nil {
-		rec.header = http.Header{}
-	}
-	return rec.header
-}
-
-func (rec *recorded) WriteHeader(status int) {
-	if rec.status == 0 {
-		rec.status = status
-	}
-}
-
-func (rec *recorded) Write(p []byte) (int, error) {
-	rec.WriteHeader(http.StatusOK)
-	return rec.body.Write(p)
-}
-
-func (rec *recorded) replay(w http.ResponseWriter, coalesced bool) {
-	h := w.Header()
-	for k, vs := range rec.header {
-		h[k] = vs
-	}
-	if coalesced {
-		h.Set("X-Coalesced", "1")
-	}
-	status := rec.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	w.WriteHeader(status)
-	w.Write(rec.body.Bytes())
-}
-
-type flight struct {
-	done chan struct{}
-	rec  *recorded
-}
-
-// Coalescer deduplicates concurrent identical GETs: the first request
-// for a (method, URL) executes the handler into a buffer, every request
-// that arrives while it is in flight waits and replays the same response
-// (marked with an X-Coalesced header). Non-GET requests pass through
-// untouched. Nothing is cached: once the leader finishes, the next
-// request executes afresh.
-type Coalescer struct {
-	mu       sync.Mutex
-	inflight map[string]*flight
-}
-
-// NewCoalescer builds an empty coalescer.
-func NewCoalescer() *Coalescer {
-	return &Coalescer{inflight: map[string]*flight{}}
-}
-
-// Middleware returns the coalescer as composable middleware.
-func (c *Coalescer) Middleware() Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodGet {
-				next.ServeHTTP(w, r)
-				return
-			}
-			key := r.URL.RequestURI()
-			c.mu.Lock()
-			if f := c.inflight[key]; f != nil {
-				c.mu.Unlock()
-				select {
-				case <-f.done:
-					f.rec.replay(w, true)
-				case <-r.Context().Done():
-					writeError(w, http.StatusServiceUnavailable, "request canceled while coalesced")
-				}
-				return
-			}
-			f := &flight{done: make(chan struct{}), rec: &recorded{}}
-			c.inflight[key] = f
-			c.mu.Unlock()
-
-			next.ServeHTTP(f.rec, r)
-
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(f.done)
-			f.rec.replay(w, false)
-		})
-	}
 }

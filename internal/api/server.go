@@ -1,9 +1,10 @@
 // Package api is metascriticd's versioned HTTP/JSON surface over the
-// metAScritic engine. Readers serve lock-free from an atomically-swapped
-// immutable State (a copy-on-write store snapshot plus frozen results);
-// POST /v1/runs schedules asynchronous engine batches whose results are
-// committed by swapping in a new State. See DESIGN.md §8 for the
-// concurrency story and the snapshot artifact format.
+// metAScritic engine. Readers serve from an atomically-swapped immutable
+// State (a copy-on-write store snapshot plus frozen results) and wait
+// only while an ingest holds the world write lock; POST /v1/runs
+// schedules asynchronous engine batches whose results are committed by
+// swapping in a new State. See DESIGN.md §8 for the concurrency story and
+// the snapshot artifact format.
 //
 // v1 endpoints:
 //
@@ -119,9 +120,8 @@ func (s *Server) commit(id string, mr *engine.MultiResult) {
 	s.state.Store(NewState(cur.Seq+1, cur.WorldCfg, cur.Pipe, merged))
 }
 
-// Handler returns the fully-wired handler: routes, then coalescing, then
-// rate limiting outermost (a limited request never reaches the
-// coalescer).
+// Handler returns the fully-wired handler: the routes, behind the rate
+// limiter when Options.RateLimit is set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -138,9 +138,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /admin/stats", s.handleStats)
 
 	var h http.Handler = mux
-	h = Chain(h, NewCoalescer().Middleware())
 	if s.opts.RateLimit > 0 {
-		h = Chain(h, NewRateLimiter(s.opts.RateLimit, s.opts.RateBurst).Middleware())
+		h = NewRateLimiter(s.opts.RateLimit, s.opts.RateBurst).Wrap(h)
 	}
 	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
@@ -526,7 +525,7 @@ type statsResponse struct {
 	// since the streaming refactor includes the invalidation counters —
 	// Epoch (passes absorbed), Invalidated and Retained entries — and,
 	// with the byte-budgeted cache, the pressure counters: BudgetBytes,
-	// Evicted, EvictedBytes and Bypassed.
+	// Evicted and EvictedBytes.
 	RouteCache any `json:"route_cache"`
 	// Process reports kernel-level memory counters so an operator can see
 	// cache pressure against real footprint (zeros where procfs is

@@ -235,91 +235,6 @@ func TestRateLimiterRefill(t *testing.T) {
 	}
 }
 
-func TestCoalescing(t *testing.T) {
-	// Deterministic middleware-level test: the leader blocks until all
-	// followers are queued behind it, then everyone gets the same body
-	// and only followers carry the marker header.
-	release := make(chan struct{})
-	var calls int
-	var mu sync.Mutex
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		<-release
-		w.Header().Set("X-From", "handler")
-		fmt.Fprintf(w, "payload")
-	})
-	h := Chain(inner, NewCoalescer().Middleware())
-
-	const followers = 8
-	var wg sync.WaitGroup
-	recs := make([]*httptest.ResponseRecorder, followers+1)
-	start := make(chan struct{})
-	for i := 0; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			rec := httptest.NewRecorder()
-			recs[i] = rec
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/estimate/Sydney/1/2", nil))
-		}(i)
-	}
-	close(start)
-	// Wait until the leader is inside the handler, then give the
-	// followers a moment to park on the flight, then release.
-	deadline := time.After(5 * time.Second)
-	for {
-		mu.Lock()
-		c := calls
-		mu.Unlock()
-		if c == 1 {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("leader never reached the handler")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	wg.Wait()
-
-	if calls != 1 {
-		// Followers that arrived after the leader finished re-execute;
-		// the sleep above makes that unlikely but not impossible. Accept
-		// a small number of extra executions, require real coalescing.
-		if calls > 3 {
-			t.Fatalf("expected ~1 handler execution, got %d", calls)
-		}
-	}
-	coalesced := 0
-	for _, rec := range recs {
-		if rec.Code != 200 || rec.Body.String() != "payload" {
-			t.Fatalf("bad replayed response: %d %q", rec.Code, rec.Body.String())
-		}
-		if rec.Header().Get("X-From") != "handler" {
-			t.Fatalf("replay dropped handler headers")
-		}
-		if rec.Header().Get("X-Coalesced") == "1" {
-			coalesced++
-		}
-	}
-	if coalesced < followers-2 {
-		t.Fatalf("expected most of %d followers coalesced, got %d", followers, coalesced)
-	}
-	// POSTs are never coalesced.
-	rec := httptest.NewRecorder()
-	Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(204)
-	}), NewCoalescer().Middleware()).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/x", nil))
-	if rec.Code != 204 || rec.Header().Get("X-Coalesced") != "" {
-		t.Fatalf("POST touched the coalescer: %d", rec.Code)
-	}
-}
-
 func TestSubmitRunValidation(t *testing.T) {
 	s := testServer(t, Options{MaxRunBudget: 500})
 	h := s.Handler()

@@ -32,22 +32,6 @@ func shardOf(dest int) uint32 {
 	return (uint32(dest) * 0x9E3779B9) >> 28 & (numShards - 1)
 }
 
-// Admission tells the cache how a lookup relates to the working set.
-//
-// AdmitWorking (the default, used by the measurement pipeline) marks the
-// entry recently-used on hit and always admits on miss. AdmitTransient is
-// for one-shot sweeps — forensics VisibleLinks scans, looking-glass dumps —
-// that read thousands of destinations exactly once: a transient hit does
-// not refresh the entry's clock bit, and a transient miss is not admitted
-// at all when the shard is already at its byte budget, so a sweep cannot
-// evict the measurement working set it races with.
-type Admission uint8
-
-const (
-	AdmitWorking Admission = iota
-	AdmitTransient
-)
-
 // RouteCache computes and memoizes per-destination propagation results in
 // the packed Routes encoding. It is safe for concurrent use: the cache is
 // sharded by destination hash, and concurrent misses on the same
@@ -103,12 +87,11 @@ type cacheShard struct {
 	bytes        int64 // footprint held: packed storage + per-entry overhead
 	evicted      int64 // entries dropped by budget eviction
 	evictedBytes int64 // bytes released by budget eviction
-	bypassed     int64 // transient misses not admitted (shard at budget)
 }
 
-// cacheEntry is one cached destination. ref is the clock bit: set on a
-// working-set hit, cleared (second chance) the first time the eviction
-// scan reaches the entry, evicted the second time.
+// cacheEntry is one cached destination. ref is the clock bit: set on every
+// hit, cleared (second chance) the first time the eviction scan reaches
+// the entry, evicted the second time.
 type cacheEntry struct {
 	routes Routes
 	seq    uint32
@@ -176,29 +159,21 @@ func (c *RouteCache) shardBudget() int64 {
 func entrySize(r Routes) int64 { return int64(r.Bytes()) + entryOverheadBytes }
 
 // RoutesTo returns (computing if needed) all ASes' best routes toward
-// dest as a packed view, admitting the entry to the working set.
+// dest as a packed view. A hit sets the entry's clock bit; a miss admits
+// the new view and evicts down to the shard's budget share.
 func (c *RouteCache) RoutesTo(dest int) Routes {
-	return c.routesTo(dest, nil, AdmitWorking)
-}
-
-// RoutesToTransient is RoutesTo for one-shot sweeps: the lookup neither
-// refreshes the entry's recency nor admits a new entry when the shard is
-// already at its byte budget (see Admission).
-func (c *RouteCache) RoutesToTransient(dest int) Routes {
-	return c.routesTo(dest, nil, AdmitTransient)
+	return c.routesTo(dest, nil)
 }
 
 // routesTo is RoutesTo with an optional caller-owned propagation scratch;
 // fan-out workers pass their per-worker scratch, single lookups borrow one
 // from the pool for the duration of the run.
-func (c *RouteCache) routesTo(dest int, s *propScratch, adm Admission) Routes {
+func (c *RouteCache) routesTo(dest int, s *propScratch) Routes {
 	sh := &c.shards[shardOf(dest)]
 	sh.mu.Lock()
 	if e, ok := sh.cache[dest]; ok {
 		sh.hits++
-		if adm == AdmitWorking {
-			e.ref = true
-		}
+		e.ref = true
 		r := e.routes
 		sh.mu.Unlock()
 		return r
@@ -230,17 +205,9 @@ func (c *RouteCache) routesTo(dest int, s *propScratch, adm Admission) Routes {
 	}
 	fl.routes = r
 
-	per := c.shardBudget()
 	sh.mu.Lock()
-	if adm == AdmitTransient && per > 0 && sh.bytes+entrySize(r) > per {
-		// A sweep destination the budget has no room for: hand the view
-		// to the caller (and any singleflight joiners) without caching
-		// it, so the sweep cannot push the working set out.
-		sh.bypassed++
-	} else {
-		sh.insert(dest, r)
-		sh.evict(per)
-	}
+	sh.insert(dest, r)
+	sh.evict(c.shardBudget())
 	delete(sh.inflight, dest)
 	sh.mu.Unlock()
 	close(fl.done)
@@ -350,7 +317,7 @@ func (c *RouteCache) Warm(ctx context.Context, dests []int, workers int) int {
 				if i >= len(todo) {
 					return
 				}
-				c.routesTo(todo[i], s, AdmitWorking)
+				c.routesTo(todo[i], s)
 			}
 		}()
 	}
@@ -370,7 +337,7 @@ func (c *RouteCache) RoutesToAll(ctx context.Context, dests []int, workers int) 
 	}
 	out := make([]Routes, len(dests))
 	for i, d := range dests {
-		out[i] = c.routesTo(d, nil, AdmitWorking)
+		out[i] = c.routesTo(d, nil)
 	}
 	return out, nil
 }
@@ -404,7 +371,6 @@ type CacheStats struct {
 	Computed     int64         // propagation runs executed (misses after dedup)
 	Evicted      int64         // entries dropped by budget eviction
 	EvictedBytes int64         // bytes released by budget eviction
-	Bypassed     int64         // transient lookups not admitted (shard at budget)
 	PropTime     time.Duration // wall-time summed over propagation runs
 	Epoch        uint32        // invalidation passes absorbed
 	Invalidated  int64         // entries dropped by scoped/full invalidation
@@ -430,7 +396,6 @@ func (c *RouteCache) Stats() CacheStats {
 		st.Computed += sh.computed
 		st.Evicted += sh.evicted
 		st.EvictedBytes += sh.evictedBytes
-		st.Bypassed += sh.bypassed
 		sh.mu.Unlock()
 	}
 	return st
@@ -446,17 +411,13 @@ func (c *RouteCache) Stats() CacheStats {
 // AS), so instead of re-walking one full path per monitor the walk stops
 // at the first AS already visited for this destination — every link past
 // it was emitted by an earlier monitor's walk.
-//
-// The sweep reads each destination once, so lookups use transient
-// admission: on a budgeted cache a forensics scan cannot evict the
-// measurement working set it runs beside.
 func VisibleLinks(cache *RouteCache, monitors []int, dests []int) map[asgraph.Pair]bool {
 	visible := map[asgraph.Pair]bool{}
 	n := cache.t.n
 	visited := make([]uint32, n)
 	var epoch uint32
 	for _, d := range dests {
-		routes := cache.RoutesToTransient(d)
+		routes := cache.RoutesTo(d)
 		epoch++
 		for _, m := range monitors {
 			if m < 0 || m >= n || !routes.Reachable(m) {
@@ -483,12 +444,11 @@ func VisibleLinks(cache *RouteCache, monitors []int, dests []int) map[asgraph.Pa
 // LookingGlass returns one AS's full routing view toward the given
 // destinations: the AS-level paths its selected best routes follow. This
 // is the per-operator view the paper queries from public Looking Glass
-// servers (§4.1, Appx. H). Lookups use transient admission (see
-// VisibleLinks).
+// servers (§4.1, Appx. H).
 func LookingGlass(cache *RouteCache, as int, dests []int) map[int][]int {
 	out := make(map[int][]int, len(dests))
 	for _, d := range dests {
-		if p := cache.RoutesToTransient(d).PathFrom(as); p != nil {
+		if p := cache.RoutesTo(d).PathFrom(as); p != nil {
 			out[d] = p
 		}
 	}
@@ -506,14 +466,13 @@ type FlatteningMetrics struct {
 }
 
 // Flattening computes FlatteningMetrics over the given sources and
-// destinations (skipping src == dst and unreachable pairs). Lookups use
-// transient admission (see VisibleLinks).
+// destinations (skipping src == dst and unreachable pairs).
 func Flattening(cache *RouteCache, sources, dests []int) FlatteningMetrics {
 	var m FlatteningMetrics
 	var lenSum float64
 	provider := 0
 	for _, d := range dests {
-		routes := cache.RoutesToTransient(d)
+		routes := cache.RoutesTo(d)
 		for _, s := range sources {
 			if s == d || !routes.Reachable(s) {
 				continue

@@ -3,6 +3,7 @@ package bgp
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -44,7 +45,9 @@ func shardAccounting(t *testing.T, c *RouteCache) {
 
 // Property: a budget-capped cache returns byte-identical routes to an
 // unbounded one over the same (random) lookup sequence, for any budget —
-// eviction may cost recomputes, never correctness.
+// eviction may cost recomputes, never correctness. The one-shot sweeps
+// (VisibleLinks, LookingGlass, Flattening) read every destination through
+// the same tight budget and must agree with the unbounded cache too.
 func TestBudgetedCacheByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 8; trial++ {
@@ -56,15 +59,21 @@ func TestBudgetedCacheByteIdentical(t *testing.T) {
 		capped.SetBudget(int64(4 * (8*n + entryOverheadBytes)))
 		for i := 0; i < 200; i++ {
 			d := rng.Intn(n)
-			var a, b Routes
-			if rng.Intn(4) == 0 {
-				a, b = free.RoutesToTransient(d), capped.RoutesToTransient(d)
-			} else {
-				a, b = free.RoutesTo(d), capped.RoutesTo(d)
-			}
-			if !routesEqual(a, b) {
+			if !routesEqual(free.RoutesTo(d), capped.RoutesTo(d)) {
 				t.Fatalf("trial %d: routes to %d differ between capped and unbounded cache", trial, d)
 			}
+		}
+		dests := rng.Perm(n)
+		monitors := dests[:1+rng.Intn(n/4)]
+		if a, b := VisibleLinks(free, monitors, dests), VisibleLinks(capped, monitors, dests); !reflect.DeepEqual(a, b) {
+			t.Fatalf("trial %d: VisibleLinks differ: %d links unbounded, %d capped", trial, len(a), len(b))
+		}
+		as := rng.Intn(n)
+		if a, b := LookingGlass(free, as, dests), LookingGlass(capped, as, dests); !reflect.DeepEqual(a, b) {
+			t.Fatalf("trial %d: LookingGlass(%d) differs between capped and unbounded cache", trial, as)
+		}
+		if a, b := Flattening(free, monitors, dests), Flattening(capped, monitors, dests); a != b {
+			t.Fatalf("trial %d: Flattening differs: unbounded %+v, capped %+v", trial, a, b)
 		}
 		st := capped.Stats()
 		if st.Evicted == 0 {
@@ -158,37 +167,6 @@ func TestEvictionPrefersCold(t *testing.T) {
 	}
 }
 
-// Transient admission: once the budget is full, a transient sweep is
-// served without displacing the cached working set.
-func TestTransientAdmissionBypassesFullCache(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := 80
-	top := randomTopology(rng, n)
-	c := NewRouteCache(top)
-	working := 12
-	c.SetBudget(int64(working * (8*n + entryOverheadBytes)))
-	for d := 0; d < working; d++ {
-		c.RoutesTo(d)
-	}
-	cachedBefore := map[int]bool{}
-	for d := 0; d < working; d++ {
-		cachedBefore[d] = c.Contains(d)
-	}
-	for d := working; d < n; d++ {
-		c.RoutesToTransient(d)
-	}
-	for d := 0; d < working; d++ {
-		if cachedBefore[d] && !c.Contains(d) {
-			t.Fatalf("transient sweep evicted working-set destination %d", d)
-		}
-	}
-	st := c.Stats()
-	if st.Bypassed == 0 {
-		t.Fatalf("transient sweep over a full cache bypassed nothing, stats %+v", st)
-	}
-	shardAccounting(t, c)
-}
-
 // Eviction composes with epoch invalidation: scoped and full invalidation
 // leave stale queue slots behind, and subsequent budgeted inserts must
 // skip them without corrupting the byte accounting or the route results.
@@ -242,12 +220,7 @@ func TestConcurrentEvictInvalidateRace(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 300; i++ {
-				d := r.Intn(n)
-				if r.Intn(5) == 0 {
-					c.RoutesToTransient(d)
-				} else {
-					c.RoutesTo(d)
-				}
+				c.RoutesTo(r.Intn(n))
 			}
 		}(int64(w))
 	}

@@ -13,7 +13,7 @@ package metascritic_test
 // one machine, with identical allocs/op (207,318 vs 207,325) — session
 // variance, not a code change. Trust allocs/op across sessions, trust
 // ns/op only within one (which `make bench` now guarantees by embedding
-// the predecessor report as the baseline; see DESIGN.md §7, PR 7).
+// the predecessor report as the baseline; see DESIGN.md §7.9).
 
 import (
 	"context"
