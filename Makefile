@@ -1,18 +1,14 @@
 GO ?= go
 
-# Perf-trajectory benchmarks (see DESIGN.md §Performance): size via
-# METASCRITIC_BENCH_SCALE, select the completion / rank-sweep / propagation
-# micro-benchmarks, record machine-readable results for later PRs to diff.
+# Micro-benchmarks and the performance gate (see DESIGN.md §7.9). bench
+# runs the completion / rank-sweep / propagation micro-benchmarks, sized
+# via METASCRITIC_BENCH_SCALE; bench-compare runs the repository benchmark
+# (BENCHMARK.json) on $(BASE) and on the working tree.
 BENCH_SCALE ?= 0.05
 BENCH_PATTERN = BenchmarkComplete|BenchmarkRankEstimate|BenchmarkPropagate$$|BenchmarkPropagateInto|BenchmarkRoutesToAll|BenchmarkVisibleLinks|BenchmarkRunMetro|BenchmarkRunAll|BenchmarkStore|BenchmarkEstimateHandler|BenchmarkSnapshotLoad|BenchmarkGenerate|BenchmarkEvolve|BenchmarkIncrementalRescore|BenchmarkSelectBatch
 BENCH_PKGS = . ./internal/als ./internal/rank ./internal/bgp ./internal/obs ./internal/api ./internal/api/snapshot ./internal/engine ./internal/netsim ./internal/probe
-BENCH_OUT ?= bench.json
-BENCH_BASELINE ?=
-# The most recent recorded report other than BENCH_OUT (by PR number, so
-# BENCH_PR10 follows BENCH_PR9) becomes the default baseline, so every
-# new report carries before/after deltas against its predecessor
-# (override with BENCH_BASELINE=<bench text>).
-BENCH_PREV = $(lastword $(filter-out $(BENCH_OUT),$(shell ls BENCH_PR*.json 2>/dev/null | sort -V)))
+BASE ?= HEAD
+PAIRS ?= 10
 PROFILE_DIR ?= profiles
 
 .PHONY: build test check bench bench-engine bench-100k bench-compare profile race-run race-measure race-obs race-bgp race-api race-netsim race-stream clean
@@ -34,25 +30,15 @@ check:
 	$(GO) -C perfbench vet ./...
 	$(GO) test -race ./internal/engine/... ./...
 
-# bench runs the hot-path micro-benchmarks at the CI trajectory scale and
-# writes $(BENCH_OUT), by default the untracked bench.json; record a new
-# committed report with BENCH_OUT=BENCH_PR<n>.json. The baseline defaults
-# to the previous BENCH_PR*.json (so reports always carry before/after
-# deltas); set BENCH_BASELINE to a prior run's text output to override.
-# -p 1 serializes the per-package test binaries: by default go test
-# runs them concurrently, which lets one package's benchmark contend
-# with another's and inflates wall-clock numbers by 20-40%.
-# (No pipe into tee here: under plain sh the pipeline would report
-# tee's exit status and a benchmark failure would silently produce a
-# partial report.)
+# bench runs the hot-path micro-benchmarks at METASCRITIC_BENCH_SCALE and
+# prints go test's report. -p 1 serializes the per-package test binaries:
+# by default go test runs them concurrently, which lets one package's
+# benchmark contend with another's and inflates wall-clock numbers by
+# 20-40%. Its ns/op are one session's means; compare two trees with
+# bench-compare.
 bench:
 	METASCRITIC_BENCH_SCALE=$(BENCH_SCALE) $(GO) test -p 1 -run '^$$' \
-		-bench '$(BENCH_PATTERN)' -benchmem -benchtime 2s $(BENCH_PKGS) \
-		> /tmp/metascritic_bench.txt || { cat /tmp/metascritic_bench.txt; exit 1; }
-	cat /tmp/metascritic_bench.txt
-	$(GO) run ./cmd/benchjson -in /tmp/metascritic_bench.txt \
-		$(if $(BENCH_BASELINE),-before $(BENCH_BASELINE),$(if $(BENCH_PREV),-before-json $(BENCH_PREV))) \
-		-scale $(BENCH_SCALE) -out $(BENCH_OUT)
+		-bench '$(BENCH_PATTERN)' -benchmem -benchtime 2s $(BENCH_PKGS)
 
 bench-engine:
 	$(GO) test -bench RunAll -benchtime 2x -run '^$$' ./internal/engine/
@@ -70,19 +56,13 @@ bench-100k:
 	$(GO) test -run '^$$' -bench 'BenchmarkRunMetro100k' -benchmem \
 		-benchtime 1x -timeout 2h .
 
-# bench-compare diffs the two most recent recorded reports and fails on
-# a >10% wall-clock or >15% peak-RSS regression in any end-to-end
-# benchmark (RunMetro / RunAll) — the pre-merge perf gate. When the
-# newer report embeds a same-session baseline (bench run with
-# BENCH_BASELINE=<bench text of the prior tree re-run on this machine>),
-# the gate compares against that instead of the older report's
-# absolutes, so hardware drift between recording sessions cannot fake a
-# regression.
+# bench-compare is the pre-merge perf gate: $(PAIRS) alternating pairs of
+# the repository benchmark on $(BASE) and on the working tree, in one
+# session. It fails when an end-to-end metric's bootstrap CI lies wholly
+# beyond its BENCHMARK.json bound on the worse side, a run fails its
+# correctness checks, or the working tree fails more operations.
 bench-compare:
-	@set -- $$(ls BENCH_PR*.json 2>/dev/null | sort -V | tail -n 2); \
-	if [ $$# -lt 2 ]; then echo "bench-compare: need at least two BENCH_PR*.json reports"; exit 1; fi; \
-	echo "comparing $$1 -> $$2"; \
-	$(GO) run ./cmd/benchjson -compare -rss-threshold 0.15 $$1 $$2
+	$(GO) run ./cmd/benchab -base $(BASE) -pairs $(PAIRS)
 
 # profile captures CPU and heap profiles from a scaled-down end-to-end
 # RunAll batch, plus the test binary pprof needs to symbolize them:
@@ -124,8 +104,8 @@ race-bgp:
 	$(GO) test -race ./internal/bgp/
 
 # race-api exercises the serving daemon under the race detector: readers
-# on the atomically-swapped State while runs commit, middleware
-# coalescing/limiting, and the run manager's drain/cancel paths.
+# on the atomically-swapped State while runs commit, rate limiting, and
+# the run manager's drain/cancel paths.
 race-api:
 	$(GO) test -race ./internal/api/... ./internal/engine/ ./cmd/metascriticd/
 

@@ -39,9 +39,16 @@ type ingestRequest struct {
 	NewASes    int   `json:"new_ases"`
 	IXPJoins   int   `json:"ixp_joins"`
 	// TracesPerProbe sizes the post-churn public-view refresh (default 4;
-	// 0 is valid and skips the refresh).
+	// 0 is valid and skips the refresh; at most maxTracesPerProbe).
 	TracesPerProbe *int `json:"traces_per_probe"`
 }
+
+// maxTracesPerProbe caps traces_per_probe. The refresh runs after the
+// world has evolved, under the write lock, and sizes its trace list by
+// probes × traces_per_probe: an unbounded value would hold the lock for
+// hours or panic mid-ingest, leaving the world an epoch ahead of the
+// served State.
+const maxTracesPerProbe = 64
 
 // ingestResponse reports what absorbing the batch did.
 type ingestResponse struct {
@@ -82,8 +89,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	traces := 4
 	if req.TracesPerProbe != nil {
-		if *req.TracesPerProbe < 0 {
-			writeError(w, http.StatusBadRequest, "traces_per_probe must be non-negative")
+		if *req.TracesPerProbe < 0 || *req.TracesPerProbe > maxTracesPerProbe {
+			writeError(w, http.StatusBadRequest, "traces_per_probe must be in [0, %d]", maxTracesPerProbe)
 			return
 		}
 		traces = *req.TracesPerProbe

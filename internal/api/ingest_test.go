@@ -182,7 +182,8 @@ func TestIngestValidation(t *testing.T) {
 		`{"surprise": 1}`:    http.StatusBadRequest, // unknown field
 		`{}`:                 http.StatusBadRequest, // empty spec
 		`{"link_downs": -1}`: http.StatusBadRequest, // negative count
-		`{"link_ups": 1, "traces_per_probe": -2}`: http.StatusBadRequest,
+		`{"link_ups": 1, "traces_per_probe": -2}`:                  http.StatusBadRequest,
+		`{"link_ups": 1, "traces_per_probe": 4611686018427387904}`: http.StatusBadRequest, // would panic after Evolve
 	} {
 		res, resp := postIngest(t, h, body)
 		if res.StatusCode != want {

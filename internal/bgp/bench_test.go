@@ -66,8 +66,7 @@ func BenchmarkVisibleLinks(b *testing.B) {
 
 // BenchmarkRoutesToAll measures a cold 64-destination sweep: serial is one
 // RoutesTo per destination, pooled is the batched fan-out (one scratch per
-// worker). The sub-benchmark names match the PR 4 baseline shim so
-// cmd/benchjson can diff them.
+// worker).
 func BenchmarkRoutesToAll(b *testing.B) {
 	n := benchscale.N(30000, 1500)
 	top := benchTopology(n)

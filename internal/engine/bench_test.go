@@ -96,12 +96,11 @@ func benchRunAllMetros(b *testing.B, nMetros, workers int) {
 	}
 }
 
-// BenchmarkRunAll is the end-to-end batch benchmark of the perf
-// trajectory (recorded in BENCH_PR*.json by `make bench`): it answers
-// "how fast is a whole campaign", complementing BenchmarkRunMetro's
-// single-run view. The workers dimension on the 4-metro batch isolates
-// the scheduler's win over sequential execution; metros=16 sizes the
-// batch past the study set.
+// BenchmarkRunAll is the end-to-end batch micro-benchmark that `make
+// bench` runs: it answers "how fast is a whole campaign", complementing
+// BenchmarkRunMetro's single-run view. The workers dimension on the
+// 4-metro batch isolates the scheduler's win over sequential execution;
+// metros=16 sizes the batch past the study set.
 func BenchmarkRunAll(b *testing.B) {
 	for _, bc := range []struct{ metros, workers int }{
 		{4, 1},

@@ -1,10 +1,10 @@
 package obs_test
 
-// Evidence-layer benchmarks (see DESIGN.md §Performance): Clone cost (the
+// Evidence-layer benchmarks (see DESIGN.md §7.9): Clone cost (the
 // per-snapshot isolation price the engine pays for every metro) and the
 // per-round Estimate refresh cost (paid after every measurement batch of
 // the rank loop). Sized via METASCRITIC_BENCH_SCALE like the other
-// trajectory benchmarks; recorded in BENCH_PR4.json by `make bench`.
+// micro-benchmarks; `make bench` runs them.
 
 import (
 	"sync"

@@ -43,26 +43,8 @@ type Config struct {
 	// HoldoutDraws averages the MSE over several independent holdout
 	// draws per round, denoising the stopping decision on small metros.
 	HoldoutDraws int
-	// MinEvaluated is the minimum number of scored holdout entries for a
-	// round to be trusted as a new best (0 = adaptive: half the first
-	// round's evaluated count, at least 20). Rounds below it count as
-	// non-improving: once most rows fall below the candidate rank, the
-	// surviving holdout population shrinks and skews toward easy rows,
-	// making its MSE incomparable with earlier rounds.
-	MinEvaluated int
-	// ColdStart disables warm-starting: every rank candidate re-initializes
-	// its ALS factors from the seeded random draw, exactly as the original
-	// (pre-warm-start) loop did. The default (false) carries rank r's
-	// factors into rank r+1, padding the new factor dimensions with small
-	// seeded noise, so later ranks converge in fewer sweeps. Both paths are
-	// deterministic for a fixed Seed; they just converge along different
-	// trajectories, so flip this knob to reproduce pre-warm-start results.
-	ColdStart bool
-	// WarmIterations is the ALS sweep count used for warm-started rank
-	// candidates (rank 1, and every candidate when ColdStart is set, always
-	// uses the full Iterations). 0 picks max(3, Iterations/2).
-	WarmIterations int
-	Seed           int64
+	// Seed drives the holdout draws and the ALS factor initialization.
+	Seed int64
 	// Stop, when non-nil, is polled between rounds; when it returns true
 	// the loop aborts and returns the best rank found so far. The pipeline
 	// wires context cancellation through it.
@@ -137,7 +119,13 @@ func Estimate(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, topUp TopUpFu
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := mask.N()
-	minEval := cfg.MinEvaluated
+	// minEval is the minimum number of scored holdout entries for a round
+	// to be trusted as a new best: half the first round's evaluated count,
+	// at least 20. Rounds below it count as non-improving: once most rows
+	// fall below the candidate rank, the surviving holdout population
+	// shrinks and skews toward easy rows, making its MSE incomparable with
+	// earlier rounds.
+	minEval := 0
 
 	// The completion problem (per-row observation structure) is built once
 	// and reused across every holdout draw and rank candidate; it is only
@@ -189,20 +177,12 @@ func Estimate(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, topUp TopUpFu
 			Iterations:    cfg.Iterations,
 			Seed:          cfg.Seed + int64(r),
 		}
+		// Rank r starts from rank r-1's factors, the new dimensions padded
+		// with small seeded noise, so it converges in fewer sweeps: rank 1
+		// runs the full Iterations, later ranks max(3, Iterations/2).
 		init := warm
-		if cfg.ColdStart {
-			init = nil
-		}
 		if init != nil {
-			// Warm-started candidates start near the previous rank's
-			// solution, so they need fewer sweeps to converge.
-			opts.Iterations = cfg.WarmIterations
-			if opts.Iterations <= 0 {
-				opts.Iterations = cfg.Iterations / 2
-				if opts.Iterations < 3 {
-					opts.Iterations = 3
-				}
-			}
+			opts.Iterations = max(3, cfg.Iterations/2)
 		}
 		// Score the completion on holdout entries whose rows retain at
 		// least the candidate rank's worth of entries — an entry is set
@@ -238,11 +218,8 @@ func Estimate(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, topUp TopUpFu
 		}
 		res.History = append(res.History, Step{Rank: r, MSE: mse, NewEntries: added, Evaluated: cnt})
 
-		if r == 1 && cfg.MinEvaluated == 0 {
-			minEval = cnt / 2
-			if minEval < 20 {
-				minEval = 20
-			}
+		if r == 1 {
+			minEval = max(20, cnt/2)
 		}
 		if cnt >= minEval && mse < res.BestMSE*(1-cfg.MinImprove) {
 			res.BestMSE = mse

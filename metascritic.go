@@ -186,34 +186,6 @@ func (t *PhaseTimings) Add(o PhaseTimings) {
 	t.Allocs.Threshold += o.Allocs.Threshold
 }
 
-// PhaseShare is one row of a phase-attribution breakdown: where a run's
-// (or a batch's) wall-clock and allocations went.
-type PhaseShare struct {
-	Phase  string
-	Wall   time.Duration
-	Frac   float64 // Wall / Total, 0 when Total is 0
-	Allocs uint64
-}
-
-// Breakdown returns the per-phase attribution table (bootstrap, rank
-// loop, completion, threshold — the disjoint phases that sum to Total),
-// for profiling output and the engine's batch reports.
-func (t PhaseTimings) Breakdown() []PhaseShare {
-	total := t.Total()
-	frac := func(d time.Duration) float64 {
-		if total <= 0 {
-			return 0
-		}
-		return float64(d) / float64(total)
-	}
-	return []PhaseShare{
-		{Phase: "bootstrap", Wall: t.Bootstrap, Frac: frac(t.Bootstrap), Allocs: t.Allocs.Bootstrap},
-		{Phase: "rank-loop", Wall: t.RankLoop, Frac: frac(t.RankLoop), Allocs: t.Allocs.RankLoop},
-		{Phase: "completion", Wall: t.Completion, Frac: frac(t.Completion), Allocs: t.Allocs.Completion},
-		{Phase: "threshold", Wall: t.Threshold, Frac: frac(t.Threshold), Allocs: t.Allocs.Threshold},
-	}
-}
-
 // Result is the output of running metAScritic on one metro.
 type Result struct {
 	Metro   int

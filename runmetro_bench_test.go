@@ -7,13 +7,12 @@ package metascritic_test
 // cost the speculative prefetch + fan-out is designed to parallelize.
 // Scale with METASCRITIC_BENCH_SCALE like the experiment benchmarks.
 //
-// Comparing BENCH_PR*.json wall-clock across recording sessions is
-// unreliable: the PR5→PR6 workers=1 "regression" (183.6 → 233.7 ms/op)
-// reproduces as 234 vs 254 ms when both trees are re-run back to back on
-// one machine, with identical allocs/op (207,318 vs 207,325) — session
-// variance, not a code change. Trust allocs/op across sessions, trust
-// ns/op only within one (which `make bench` now guarantees by embedding
-// the predecessor report as the baseline; see DESIGN.md §7.9).
+// Comparing wall-clock recorded in different sessions is unreliable: a
+// workers=1 "regression" of 183.6 → 233.7 ms/op once reproduced as 234 vs
+// 254 ms when both trees were re-run back to back on one machine, with
+// identical allocs/op (207,318 vs 207,325) — session variance, not a code
+// change. Trust allocs/op across sessions and ns/op only within one;
+// `make bench-compare` runs both trees in one session (DESIGN.md §7.9).
 
 import (
 	"context"
