@@ -118,6 +118,7 @@ type row struct {
 	Base, Change float64 // medians
 	Lo, Hi       float64 // 95% CI of the mean per-pair change/base ratio
 	Spread       float64 // the base's interquartile range / its median
+	Wins         int     // pairs in which the change is better; ties count for neither
 	Verdict      string
 }
 
@@ -128,16 +129,21 @@ type row struct {
 // spread exceeds the bound, so that the runs cannot tell a change of that
 // size from noise; otherwise "ok". problems lists the failures that are
 // not metrics: a run reporting correct: false, and a change that fails a
-// larger share of its operations.
+// larger share of its operations. Wins only informs: a claimed gain needs
+// most pairs won and a median gap wider than the base's spread.
 func judge(metrics []metricSpec, base, change []result) (rows []row, problems []string) {
 	rng := rand.New(rand.NewSource(1)) // one set of runs, one verdict
 	for _, m := range metrics {
 		b, c, ratios := make([]float64, len(base)), make([]float64, len(base)), make([]float64, len(base))
+		wins := 0
 		for k := range base {
 			b[k], c[k] = base[k].Metrics[m.Name].Value, change[k].Metrics[m.Name].Value
 			ratios[k] = c[k] / b[k]
+			if (m.Better == "lower" && c[k] < b[k]) || (m.Better == "higher" && c[k] > b[k]) {
+				wins++
+			}
 		}
-		r := row{Metric: m.Name, Base: stats.Quantile(b, 0.5), Change: stats.Quantile(c, 0.5)}
+		r := row{Metric: m.Name, Base: stats.Quantile(b, 0.5), Change: stats.Quantile(c, 0.5), Wins: wins}
 		_, r.Lo, r.Hi = stats.BootstrapCI(ratios, 2000, 0.05, rng)
 		r.Spread = (stats.Quantile(b, 0.75) - stats.Quantile(b, 0.25)) / r.Base
 		// Mirror higher-is-better metrics so that worse always lies above.
@@ -230,11 +236,11 @@ func run(base string, pairs int) error {
 	fmt.Printf("base %s vs working tree: %d pairs of %d s runs\n", base, pairs, spec.RunSeconds)
 	for w, wl := range spec.Workloads {
 		rows, problems := judge(spec.EndToEnd, runs[w][0], runs[w][1])
-		fmt.Printf("\n%-12s %-17s %10s %10s %7s %17s %6s %5s %6s  %s\n",
-			wl.Name, "metric", "base", "change", "ratio", "95% CI", "better", "bound", "spread", "verdict")
+		fmt.Printf("\n%-12s %-17s %10s %10s %7s %17s %6s %5s %6s %5s  %s\n",
+			wl.Name, "metric", "base", "change", "ratio", "95% CI", "better", "bound", "spread", "wins", "verdict")
 		for i, r := range rows {
-			fmt.Printf("%-12s %-17s %10.4g %10.4g %7.3f   [%6.3f, %6.3f] %6s %5.2f %6.3f  %s\n", "", r.Metric, r.Base, r.Change,
-				r.Change/r.Base, r.Lo, r.Hi, spec.EndToEnd[i].Better, spec.EndToEnd[i].Bound, r.Spread, r.Verdict)
+			fmt.Printf("%-12s %-17s %10.4g %10.4g %7.3f   [%6.3f, %6.3f] %6s %5.2f %6.3f %2d/%-2d  %s\n", "", r.Metric, r.Base, r.Change,
+				r.Change/r.Base, r.Lo, r.Hi, spec.EndToEnd[i].Better, spec.EndToEnd[i].Bound, r.Spread, r.Wins, pairs, r.Verdict)
 			failed = failed || r.Verdict == "worse"
 		}
 		for _, p := range problems {

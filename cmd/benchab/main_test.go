@@ -209,6 +209,19 @@ func TestJudgeRegressions(t *testing.T) {
 	if v := verdicts(rows); v["run_s"] != "ok" || v["link_f1"] != "ok" {
 		t.Fatalf("improvements judged %v", v)
 	}
+	for _, r := range rows {
+		if (r.Metric == "run_s" || r.Metric == "link_f1") && r.Wins != 10 {
+			t.Errorf("improved %s won %d of 10 pairs", r.Metric, r.Wins)
+		}
+	}
+
+	// Identical runs tie every pair, and a tie is no win.
+	rows, _ = judge(metrics, base, base)
+	for _, r := range rows {
+		if r.Wins != 0 || r.Verdict != "ok" {
+			t.Errorf("tied %s: %d wins, verdict %s", r.Metric, r.Wins, r.Verdict)
+		}
+	}
 
 	// A base too noisy to resolve the bound leaves the metric unresolved.
 	noisy := func(m metricSpec) float64 { return 4 * m.Bound }

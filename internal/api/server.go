@@ -23,6 +23,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -150,12 +151,18 @@ func (s *Server) Handler() http.Handler {
 
 // --- helpers ---
 
+// writeJSON encodes v before it commits the status, so a value that
+// cannot be encoded (a NaN, say) answers 500 with an error body rather
+// than a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -393,7 +400,7 @@ func (s *Server) handleHijack(w http.ResponseWriter, r *http.Request) {
 	}
 	if tq := r.URL.Query().Get("thr"); tq != "" {
 		v, err := strconv.ParseFloat(tq, 64)
-		if err != nil || v < 0 || v > 1 {
+		if err != nil || math.IsNaN(v) || v < 0 || v > 1 { // ±Inf fails the range test
 			writeError(w, http.StatusBadRequest, "thr must be in [0,1], got %q", tq)
 			return
 		}

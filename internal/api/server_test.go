@@ -177,6 +177,7 @@ func TestEndpoints(t *testing.T) {
 		fmt.Sprintf("/v1/estimate/%s/%d/notanas", fixture.metro, a):   400,
 		"/v1/consistency/Tokyo":                                       404, // no committed run
 		fmt.Sprintf("/v1/peers/%s/%d?k=zero", fixture.metro, a):       400,
+		"/v1/hijack/" + fixture.metro + "/Tokyo?thr=NaN":              400,
 		"/v1/runs/run-9999":                                           404,
 	} {
 		res, body = get(t, h, path)

@@ -122,7 +122,7 @@ func AblationTransferability(h *Harness) ([]TransferAblationRow, *Table) {
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					scores = append(scores, completed.At(i, j))
-					labels = append(labels, truth.M.At(i, j) > 0.5)
+					labels = append(labels, truth.M.Has(i, j))
 				}
 			}
 			_, f := stats.BestF1Threshold(scores, labels)

@@ -639,7 +639,7 @@ func E7(h *Harness) ([]E7Row, *Table) {
 					continue
 				}
 				negs++
-				if truth.M.At(i, j) > 0.5 {
+				if truth.M.Has(i, j) {
 					wrong++
 				}
 			}
@@ -658,7 +658,7 @@ func E7(h *Harness) ([]E7Row, *Table) {
 					continue
 				}
 				scores = append(scores, completed.At(hi, j))
-				labels = append(labels, truth.M.At(hi, j) > 0.5)
+				labels = append(labels, truth.M.Has(hi, j))
 			}
 		}
 		row := E7Row{Policy: p.name, Entries: est.Mask.Count() / 2}

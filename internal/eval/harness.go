@@ -222,7 +222,7 @@ func (h *Harness) TruthLabels(res *metascritic.Result) (scores []float64, labels
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			scores = append(scores, res.Ratings.At(i, j))
-			labels = append(labels, truth.M.At(i, j) > 0.5)
+			labels = append(labels, truth.M.Has(i, j))
 		}
 	}
 	return scores, labels

@@ -108,7 +108,7 @@ func (h *Harness) RunStrategy(metro int, picker baseline.Picker, budget, batchSi
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				scores = append(scores, completed.At(i, j))
-				labels = append(labels, truth.M.At(i, j) > 0.5)
+				labels = append(labels, truth.M.Has(i, j))
 			}
 		}
 		thr, fbest := stats.BestF1Threshold(scores, labels)

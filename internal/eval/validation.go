@@ -118,7 +118,7 @@ func (h *Harness) ValidationSets(res *metascritic.Result, seed int64) []*Validat
 				continue
 			}
 			cloud.Pairs = append(cloud.Pairs, [2]int{hi, j})
-			cloud.Labels = append(cloud.Labels, truth.M.At(hi, j) > 0.5)
+			cloud.Labels = append(cloud.Labels, truth.M.Has(hi, j))
 		}
 	}
 	sets = append(sets, cloud)
@@ -133,7 +133,7 @@ func (h *Harness) ValidationSets(res *metascritic.Result, seed int64) []*Validat
 	for pr := range commPairs {
 		i, ok1 := memberRow[pr.A]
 		j, ok2 := memberRow[pr.B]
-		if !ok1 || !ok2 || truth.M.At(i, j) < 0.5 {
+		if !ok1 || !ok2 || !truth.M.Has(i, j) {
 			continue
 		}
 		comm.Pairs = append(comm.Pairs, [2]int{i, j})
@@ -148,7 +148,7 @@ func (h *Harness) ValidationSets(res *metascritic.Result, seed int64) []*Validat
 	alias := &ValidationSet{Name: "IP Aliasing", RecallOnly: true}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if truth.M.At(i, j) < 0.5 {
+			if !truth.M.Has(i, j) {
 				continue
 			}
 			a, b := res.Members[i], res.Members[j]
@@ -179,7 +179,7 @@ func (h *Harness) ValidationSets(res *metascritic.Result, seed int64) []*Validat
 	for _, tr := range transits {
 		ti := memberRow[tr]
 		for j := 0; j < n; j++ {
-			if j != ti && truth.M.At(ti, j) > 0.5 {
+			if j != ti && truth.M.Has(ti, j) {
 				lg.Pairs = append(lg.Pairs, [2]int{ti, j})
 				lg.Labels = append(lg.Labels, true)
 			}
@@ -199,7 +199,7 @@ func (h *Harness) ValidationSets(res *metascritic.Result, seed int64) []*Validat
 				ai, bi := ix.Members[a], ix.Members[b]
 				i, ok1 := memberRow[ai]
 				j, ok2 := memberRow[bi]
-				if !ok1 || !ok2 || truth.M.At(i, j) < 0.5 {
+				if !ok1 || !ok2 || !truth.M.Has(i, j) {
 					continue
 				}
 				onRS := g.ASes[ai].OnRouteServer(ix.Index) && g.ASes[bi].OnRouteServer(ix.Index)

@@ -525,7 +525,7 @@ func (w *World) applyEvent(ev *Event, rebuild map[int]bool) error {
 			return fmt.Errorf("link %d-%d has no interconnection at metro %d", ev.A, ev.B, m)
 		}
 		ms = append(ms[:i], ms[i+1:]...)
-		w.setTruth(pr, m, 0)
+		w.setTruth(pr, m, false)
 		if len(ms) == 0 {
 			delete(w.LinkMetros, pr)
 			delete(w.Rel, pr)
@@ -539,7 +539,7 @@ func (w *World) applyEvent(ev *Event, rebuild map[int]bool) error {
 			return fmt.Errorf("pair %d-%d is not a peering", ev.A, ev.B)
 		}
 		for _, m := range w.LinkMetros[pr] {
-			w.setTruth(pr, m, 0)
+			w.setTruth(pr, m, false)
 		}
 		delete(w.LinkMetros, pr)
 		delete(w.Rel, pr)
@@ -561,7 +561,7 @@ func (w *World) applyEvent(ev *Event, rebuild map[int]bool) error {
 			ms = append(ms, 0)
 			copy(ms[i+1:], ms[i:])
 			ms[i] = m
-			w.setTruth(pr, m, 1)
+			w.setTruth(pr, m, true)
 		}
 		w.LinkMetros[pr] = ms
 	case NewASArrival:
@@ -625,20 +625,26 @@ func (w *World) applyEvent(ev *Event, rebuild map[int]bool) error {
 	return nil
 }
 
-// setTruth writes one ground-truth cell (symmetric) when both endpoints
-// are members of the metro.
-func (w *World) setTruth(pr Pair, m int, v float64) {
+// setTruth sets or clears one ground-truth link (symmetric) when both
+// endpoints are members of the metro; a long-haul interconnect can name
+// a metro where one side has no footprint.
+func (w *World) setTruth(pr Pair, m int, link bool) {
 	t := w.Truths[m]
 	i, ok1 := t.Index[pr.A]
 	j, ok2 := t.Index[pr.B]
-	if ok1 && ok2 {
-		t.M.Set(i, j, v)
-		t.M.Set(j, i, v)
+	if !ok1 || !ok2 {
+		return
+	}
+	if link {
+		t.M.Set(i, j)
+	} else {
+		t.M.Unset(i, j)
 	}
 }
 
-// rebuildTruths re-derives the ground-truth matrices of metros whose
-// membership changed, from the metro members and the link-metro map.
+// rebuildTruths re-derives the ground-truth masks of the given metros
+// from their members and the link-metro map: every metro at generation,
+// the metros whose membership changed on Apply.
 func (w *World) rebuildTruths(metros map[int]bool) {
 	for m := range metros {
 		members := w.G.Metros[m].Members
@@ -646,7 +652,7 @@ func (w *World) rebuildTruths(metros map[int]bool) {
 			Metro:   m,
 			Members: members,
 			Index:   make(map[int]int, len(members)),
-			M:       mat.New(len(members), len(members)),
+			M:       mat.NewMask(len(members)),
 		}
 		for r, ai := range members {
 			t.Index[ai] = r
@@ -656,7 +662,7 @@ func (w *World) rebuildTruths(metros map[int]bool) {
 	for pr, ms := range w.LinkMetros {
 		for _, m := range ms {
 			if metros[m] {
-				w.setTruth(pr, m, 1)
+				w.setTruth(pr, m, true)
 			}
 		}
 	}

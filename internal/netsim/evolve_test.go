@@ -136,7 +136,7 @@ func TestEvolveEventEffects(t *testing.T) {
 			if !ok1 || !ok2 {
 				continue
 			}
-			if tr.M.At(i, j) != 1 || tr.M.At(j, i) != 1 {
+			if !tr.M.Has(i, j) || !tr.M.Has(j, i) {
 				t.Fatalf("truth at metro %d missing link %v", m, pr)
 			}
 		}
@@ -145,7 +145,7 @@ func TestEvolveEventEffects(t *testing.T) {
 	for m, tr := range w.Truths {
 		for i, a := range tr.Members {
 			for j := i + 1; j < len(tr.Members); j++ {
-				if tr.M.At(i, j) == 1 && !containsInt(w.LinkMetros[MakePair(a, tr.Members[j])], m) {
+				if tr.M.Has(i, j) && !containsInt(w.LinkMetros[MakePair(a, tr.Members[j])], m) {
 					t.Fatalf("truth at metro %d has phantom link %d-%d", m, a, tr.Members[j])
 				}
 			}

@@ -301,10 +301,11 @@ type Truth struct {
 	Metro   int
 	Members []int       // AS indices present at the metro, sorted
 	Index   map[int]int // AS index -> row in M
-	// M is the binary symmetric ground-truth connectivity matrix: M[i][j]
-	// = 1 iff the member ASes interconnect (peering or transit) at this
-	// metro.
-	M *mat.Matrix
+	// M is the binary symmetric ground-truth link relation over member
+	// rows: M.Has(i, j) iff the member ASes interconnect (peering or
+	// transit) at this metro. As a sparse mask it costs about 8 bytes
+	// per link.
+	M *mat.Mask
 }
 
 // Has reports whether ASes a and b (graph indices) interconnect at the
@@ -315,21 +316,12 @@ func (t *Truth) Has(a, b int) bool {
 	if !ok1 || !ok2 {
 		return false
 	}
-	return t.M.At(i, j) > 0.5
+	return t.M.Has(i, j)
 }
 
-// NumLinks returns the number of distinct links in the metro.
-func (t *Truth) NumLinks() int {
-	n := 0
-	for i := 0; i < t.M.Rows; i++ {
-		for j := i + 1; j < t.M.Cols; j++ {
-			if t.M.At(i, j) > 0.5 {
-				n++
-			}
-		}
-	}
-	return n
-}
+// NumLinks returns the number of distinct links in the metro. The mask is
+// symmetric with an empty diagonal, so each link is counted twice.
+func (t *Truth) NumLinks() int { return t.M.Count() / 2 }
 
 // World is a fully generated synthetic Internet.
 type World struct {
@@ -1101,32 +1093,14 @@ func (w *World) assignTransitMetros(rng *rand.Rand) {
 	}
 }
 
+// buildTruthMatrices derives every metro's ground truth from the
+// link-metro map.
 func (w *World) buildTruthMatrices() {
+	all := make(map[int]bool, len(w.G.Metros))
 	for mi := range w.G.Metros {
-		members := w.G.Metros[mi].Members
-		t := &Truth{
-			Metro:   mi,
-			Members: members,
-			Index:   make(map[int]int, len(members)),
-			M:       mat.New(len(members), len(members)),
-		}
-		for r, ai := range members {
-			t.Index[ai] = r
-		}
-		w.Truths[mi] = t
+		all[mi] = true
 	}
-	for pr, metros := range w.LinkMetros {
-		for _, m := range metros {
-			t := w.Truths[m]
-			i, ok1 := t.Index[pr.A]
-			j, ok2 := t.Index[pr.B]
-			if !ok1 || !ok2 {
-				continue // long-haul interconnect where one side lacks footprint
-			}
-			t.M.Set(i, j, 1)
-			t.M.Set(j, i, 1)
-		}
-	}
+	w.rebuildTruths(all)
 }
 
 func (w *World) buildFacilities(rng *rand.Rand) {

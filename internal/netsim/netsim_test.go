@@ -122,11 +122,15 @@ func TestTier1FullMesh(t *testing.T) {
 func TestTruthMatricesSymmetricAndConsistent(t *testing.T) {
 	w := testWorld(t)
 	for mi, tr := range w.Truths {
-		if !tr.M.IsSymmetric(0) {
-			t.Fatalf("truth matrix of metro %d not symmetric", mi)
+		for i := 0; i < tr.M.N(); i++ {
+			for _, j := range tr.M.RowView(i) {
+				if !tr.M.Has(int(j), i) {
+					t.Fatalf("truth matrix of metro %d not symmetric at (%d, %d)", mi, i, j)
+				}
+			}
 		}
-		if tr.M.Rows != len(tr.Members) {
-			t.Fatalf("metro %d matrix dim %d != members %d", mi, tr.M.Rows, len(tr.Members))
+		if tr.M.N() != len(tr.Members) {
+			t.Fatalf("metro %d matrix dim %d != members %d", mi, tr.M.N(), len(tr.Members))
 		}
 		for ai, row := range tr.Index {
 			if tr.Members[row] != ai {
@@ -134,8 +138,8 @@ func TestTruthMatricesSymmetricAndConsistent(t *testing.T) {
 			}
 		}
 		// Diagonal is zero: no self links.
-		for i := 0; i < tr.M.Rows; i++ {
-			if tr.M.At(i, i) != 0 {
+		for i := 0; i < tr.M.N(); i++ {
+			if tr.M.Has(i, i) {
 				t.Fatalf("metro %d has self link at %d", mi, i)
 			}
 		}
@@ -219,11 +223,16 @@ func TestMetroMatrixEffectivelyLowRank(t *testing.T) {
 	w := Generate(Config{Seed: 3, Metros: DefaultMetros(0.3)})
 	mi := w.G.MetroOfName("Amsterdam").Index
 	tr := w.Truths[mi]
-	n := tr.M.Rows
+	n := tr.M.N()
 	if n < 60 {
 		t.Skip("metro too small for a meaningful rank test")
 	}
-	r := mat.EffectiveRank(tr.M, 0.05)
+	dense := mat.New(n, n)
+	tr.M.Entries(func(i, j int) {
+		dense.Set(i, j, 1)
+		dense.Set(j, i, 1)
+	})
+	r := mat.EffectiveRank(dense, 0.05)
 	if r == 0 {
 		t.Fatalf("zero effective rank implies no links at all")
 	}
@@ -388,9 +397,9 @@ func TestNumLinksAndSameFacility(t *testing.T) {
 		// NumLinks must equal the symmetric matrix's positive upper
 		// triangle.
 		cnt := 0
-		for i := 0; i < tr.M.Rows; i++ {
-			for j := i + 1; j < tr.M.Cols; j++ {
-				if tr.M.At(i, j) > 0.5 {
+		for i := 0; i < tr.M.N(); i++ {
+			for j := i + 1; j < tr.M.N(); j++ {
+				if tr.M.Has(i, j) {
 					cnt++
 				}
 			}

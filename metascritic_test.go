@@ -84,7 +84,7 @@ func TestRunMetroEndToEnd(t *testing.T) {
 	for i := 0; i < len(res.Members); i++ {
 		for j := i + 1; j < len(res.Members); j++ {
 			scores = append(scores, res.Ratings.At(i, j))
-			labels = append(labels, truth.M.At(i, j) > 0.5)
+			labels = append(labels, truth.M.Has(i, j))
 		}
 	}
 	auc := stats.AUC(scores, labels)
@@ -102,7 +102,7 @@ func TestRunMetroEndToEnd(t *testing.T) {
 				continue
 			}
 			checks++
-			if truth.M.At(i, j) < 0.5 {
+			if !truth.M.Has(i, j) {
 				errs++
 			}
 		}
