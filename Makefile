@@ -19,13 +19,15 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the pre-merge gate: vet everything, then run the engine
-# package (and the rest of the tree) under the race detector. The
-# engine runs metros concurrently over shared read-only state, so a
+# check is the pre-merge gate: fail on any file gofmt would rewrite, vet
+# everything, then run the engine package (and the rest of the tree)
+# under the race detector. The engine runs metros concurrently over shared read-only state, so a
 # race-clean pass is part of its contract. perfbench/ is a nested module
 # that `go build ./...` never compiles, yet it reads the pipeline's
 # Result, PhaseTimings and ALS API, so it is vetted here as well.
 check:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) -C perfbench vet ./...
 	$(GO) test -race ./internal/engine/... ./...

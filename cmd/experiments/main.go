@@ -1,12 +1,11 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation against a synthetic Internet and prints them as text tables.
-// With -workers > 1 the six study-metro runs — the dominant cost of a full
-// sweep — are executed concurrently through the engine before the
-// experiment drivers read them from the harness cache.
+// The experiments share one harness, which runs each metro once, on first
+// use, and caches the result for the experiments after it.
 //
 // Usage:
 //
-//	experiments [-scale 0.2] [-seed 1] [-budget 8000] [-only Fig7,Table3] [-workers 4]
+//	experiments [-scale 0.2] [-seed 1] [-budget 8000] [-only Fig7,Table3] [-md report.md]
 package main
 
 import (
@@ -35,7 +34,6 @@ func main() {
 func run() error {
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
 	mdOut := flag.String("md", "", "also write all tables as a markdown report to this file")
-	workers := flag.Int("workers", 1, "run the study metros concurrently on this many workers before the sweep")
 	wf := cliflags.World{Scale: 0.2, Seed: 1}
 	budget := flag.Int("budget", 8000, "targeted traceroute budget per metro")
 	var prof cliflags.Profile
@@ -70,16 +68,6 @@ func run() error {
 	fmt.Printf("world ready in %v: %d ASes, %d probes\n", time.Since(start).Round(time.Millisecond),
 		h.W.G.N(), len(h.W.Probes))
 	fmt.Printf("world realism report:\n%s\n", graphmetrics.FromGraph(h.W.G))
-
-	if *workers > 1 {
-		fmt.Printf("warming the metro cache on %d workers...\n", *workers)
-		stats, err := h.RunPrimariesParallel(ctx, *workers)
-		if err != nil {
-			return fmt.Errorf("parallel metro runs: %w", err)
-		}
-		fmt.Printf("metros ready in %v (utilization %.0f%%, %d measurements)\n\n",
-			stats.Wall.Round(time.Millisecond), 100*stats.Utilization(), stats.Measurements)
-	}
 
 	var md *os.File
 	if *mdOut != "" {

@@ -7,13 +7,8 @@ package experiments
 
 import (
 	"metascritic/internal/asgraph"
-	"metascritic/internal/engine"
 	"metascritic/internal/eval"
 )
-
-// EngineStats re-exports the concurrent engine's batch statistics, the
-// return type of Harness.RunPrimariesParallel.
-type EngineStats = engine.RunStats
 
 // Harness owns a generated world and caches per-metro pipeline runs shared
 // across experiments.

@@ -268,6 +268,23 @@ func TestSubmitRunValidation(t *testing.T) {
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated JSON accepted: %d %s", res.StatusCode, body)
 	}
+	// A repeated metro is a config RunAll rejects, so Submit rejects it
+	// too, before any run record exists.
+	res, body = post(fmt.Sprintf(`{"metros": [%q, %q]}`, fixture.metro, fixture.metro))
+	if res.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("repeated metro accepted: %d %s", res.StatusCode, body)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs", nil))
+	var list struct {
+		Runs []json.RawMessage `json:"runs"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil {
+		t.Fatalf("decode run list: %v", err)
+	}
+	if len(list.Runs) != 0 {
+		t.Fatalf("rejected submissions created run records: %s", rec.Body.String())
+	}
 }
 
 // TestServeWhileCommit is the ISSUE's race-enabled serve-while-commit

@@ -101,15 +101,28 @@ func Restore(a *Artifact) (*metascritic.Pipeline, map[int]*metascritic.Result, e
 	return p, a.Results, nil
 }
 
-// Save writes an encoded artifact to path (atomically via a temp file and
-// rename, so a crash mid-write never leaves a half-snapshot behind).
+// Save writes an encoded artifact to path (atomically via a synced temp
+// file and rename, so a crash or power loss mid-write never leaves a
+// half-snapshot behind: path holds the previous snapshot or the new one).
 func Save(path string, a *Artifact) error {
+	return save(path, func(w io.Writer) error { return Encode(w, a) })
+}
+
+// save is Save with the encoder as a parameter, so tests can fail a
+// write midway.
+func save(path string, encode func(io.Writer) error) error {
 	tmp, err := os.CreateTemp(dirOf(path), ".snap-*")
 	if err != nil {
 		return fmt.Errorf("snapshot: save: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := Encode(tmp, a); err != nil {
+	if err := encode(tmp); err != nil {
+		tmp.Close()
+		return fmt.Errorf("snapshot: save %s: %w", path, err)
+	}
+	// Flush the data before the rename publishes it: without the sync, a
+	// power loss can persist the rename but not the bytes.
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("snapshot: save %s: %w", path, err)
 	}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -133,6 +134,64 @@ func TestSaveLoad(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("temp files left in snapshot dir: %v", ents)
 	}
+}
+
+// TestSaveFailureKeepsPreviousSnapshot pins Save's crash contract: a
+// write that fails midway, and a stale temp file left by a crashed
+// writer, both leave the previous snapshot loadable byte-for-byte.
+func TestSaveFailureKeepsPreviousSnapshot(t *testing.T) {
+	a := testArtifact(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "warm.snap")
+	if err := Save(path, a); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := func(stage string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: snapshot bytes changed", stage)
+		}
+		b, err := Load(path)
+		if err != nil {
+			t.Fatalf("%s: load: %v", stage, err)
+		}
+		if !bytes.Equal(encode(t, b), want) {
+			t.Fatalf("%s: loaded snapshot does not re-encode to the saved bytes", stage)
+		}
+	}
+
+	errDisk := errors.New("disk full")
+	err = save(path, func(w io.Writer) error {
+		if _, err := w.Write(want[:len(want)/2]); err != nil {
+			return err
+		}
+		return errDisk
+	})
+	if !errors.Is(err, errDisk) {
+		t.Fatalf("failed write: got error %v, want %v", err, errDisk)
+	}
+	intact("after a failed save")
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("failed save left temp files: %v", ents)
+	}
+
+	stale := filepath.Join(dir, ".snap-stale")
+	if err := os.WriteFile(stale, want[:len(want)/3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	intact("beside a stale temp file")
+	if err := Save(path, a); err != nil {
+		t.Fatalf("save beside a stale temp file: %v", err)
+	}
+	intact("after saving beside a stale temp file")
 }
 
 func TestDecodeRejectsForeignFile(t *testing.T) {

@@ -124,6 +124,40 @@ func (e *Engine) Run(ctx context.Context, metro int, cfg metascritic.Config) (*m
 	return res, nil
 }
 
+// validate checks a batch config against the engine's world and returns
+// the metros it runs: the base config must be valid, Base.Priors must be
+// nil under SharePriors, and the metro set must be non-empty, in range
+// and free of duplicates. RunAll and RunManager.Submit both call it, so a
+// config Submit accepts is one RunAll accepts.
+func (e *Engine) validate(cfg Config) ([]int, error) {
+	if err := cfg.Base.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.SharePriors && cfg.Base.Priors != nil {
+		return nil, fmt.Errorf("%w: Base.Priors must be nil when SharePriors is set", metascritic.ErrInvalidConfig)
+	}
+	metros := cfg.Metros
+	if metros == nil {
+		metros = append([]int(nil), e.pipe.World.PrimaryMetros()...)
+		sort.Ints(metros)
+	}
+	if len(metros) == 0 {
+		return nil, fmt.Errorf("%w: no metros to run", metascritic.ErrInvalidConfig)
+	}
+	n := len(e.pipe.World.G.Metros)
+	seen := make(map[int]bool, len(metros))
+	for _, m := range metros {
+		if m < 0 || m >= n {
+			return nil, fmt.Errorf("%w: metro index %d out of range [0,%d)", metascritic.ErrInvalidConfig, m, n)
+		}
+		if seen[m] {
+			return nil, fmt.Errorf("%w: metro %d listed twice", metascritic.ErrInvalidConfig, m)
+		}
+		seen[m] = true
+	}
+	return metros, nil
+}
+
 // RunAll executes the configured metros on a worker pool and returns
 // their results plus aggregated statistics. The first per-metro error
 // cancels the rest of the batch and is returned (wrapped); when ctx is
@@ -134,30 +168,9 @@ func (e *Engine) Run(ctx context.Context, metro int, cfg metascritic.Config) (*m
 // (MetroStats.Aborted), so a cancelled batch's cost is attributable
 // instead of lost.
 func (e *Engine) RunAll(ctx context.Context, cfg Config) (*MultiResult, error) {
-	if err := cfg.Base.Validate(); err != nil {
+	metros, err := e.validate(cfg)
+	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
-	}
-	if cfg.SharePriors && cfg.Base.Priors != nil {
-		return nil, fmt.Errorf("engine: %w: Base.Priors must be nil when SharePriors is set", metascritic.ErrInvalidConfig)
-	}
-	g := e.pipe.World.G
-	metros := cfg.Metros
-	if metros == nil {
-		metros = append([]int(nil), e.pipe.World.PrimaryMetros()...)
-		sort.Ints(metros)
-	}
-	if len(metros) == 0 {
-		return nil, fmt.Errorf("engine: %w: no metros to run", metascritic.ErrInvalidConfig)
-	}
-	seen := make(map[int]bool, len(metros))
-	for _, m := range metros {
-		if m < 0 || m >= len(g.Metros) {
-			return nil, fmt.Errorf("engine: %w: metro index %d out of range [0,%d)", metascritic.ErrInvalidConfig, m, len(g.Metros))
-		}
-		if seen[m] {
-			return nil, fmt.Errorf("engine: %w: metro %d listed twice", metascritic.ErrInvalidConfig, m)
-		}
-		seen[m] = true
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -206,7 +219,7 @@ func (e *Engine) RunAll(ctx context.Context, cfg Config) (*MultiResult, error) {
 			defer wg.Done()
 			for idx := range jobs {
 				metro := metros[idx]
-				name := g.Metros[metro].Name
+				name := e.pipe.World.G.Metros[metro].Name
 				mcfg := cfg.Base
 				mcfg.Seed = MetroSeed(cfg.Base.Seed, metro)
 				if mcfg.MeasureWorkers == 0 && workers > 1 {
@@ -279,7 +292,7 @@ func (e *Engine) RunAll(ctx context.Context, cfg Config) (*MultiResult, error) {
 	wg.Wait()
 
 	errMu.Lock()
-	err := firstErr
+	err = firstErr
 	errMu.Unlock()
 
 	out := &MultiResult{

@@ -77,7 +77,7 @@ func NewRunManager(eng *Engine, onDone func(id string, mr *MultiResult)) *RunMan
 // validates the config synchronously — a rejected config never creates a
 // run record — and fails once Shutdown has begun.
 func (m *RunManager) Submit(cfg Config) (string, error) {
-	if err := cfg.Base.Validate(); err != nil {
+	if _, err := m.eng.validate(cfg); err != nil {
 		return "", fmt.Errorf("engine: submit: %w", err)
 	}
 	m.mu.Lock()

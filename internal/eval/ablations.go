@@ -26,16 +26,7 @@ type EpsilonAblationRow struct {
 // AblationEpsilon sweeps the exploration fraction of the batch selector on
 // the Sydney-like metro (§4.2 justifies ε = 0.1 empirically).
 func AblationEpsilon(h *Harness) ([]EpsilonAblationRow, *Table) {
-	metro := h.W.G.MetroOfName("Sydney").Index
-	msRes := h.Run(metro)
-	budget := msRes.Measurements
-	if budget < 200 {
-		budget = 200
-	}
-	batch := budget / 8
-	if batch < 20 {
-		batch = 20
-	}
+	metro, msRes, budget, batch := h.strategyBudget(8)
 	tbl := &Table{Title: "Ablation — exploration fraction ε",
 		Header: []string{"ε", "F-score", "Entries"}}
 	var rows []EpsilonAblationRow
@@ -74,13 +65,7 @@ func AblationFeatureWeight(h *Harness) ([]FeatureWeightRow, *Table) {
 			rng := rand.New(rand.NewSource(h.Seed + 301))
 			holdout := buildHoldout(est.Mask, kind, 0.2, rng)
 			completed := metascritic.CompleteWithout(est.E, est.Mask, features, holdout, res.Rank, res.Lambda, wgt)
-			var scores []float64
-			var labels []bool
-			for _, hh := range holdout {
-				scores = append(scores, completed.At(hh[0], hh[1]))
-				labels = append(labels, est.E.At(hh[0], hh[1]) > 0)
-			}
-			auprc := stats.AUPRC(scores, labels)
+			auprc := stats.AUPRC(holdoutLabels(completed, est.E, holdout))
 			if kind == Stratified {
 				row.StratAUPRC = auprc
 			} else {
@@ -113,18 +98,9 @@ func AblationTransferability(h *Harness) ([]TransferAblationRow, *Table) {
 	for _, res := range h.RunPrimaries() {
 		members := res.Members
 		features := metascritic.BuildFeatures(h.W.G, members)
-		truth := h.W.Truths[res.Metro]
 		scoreEst := func(est *obs.Estimate) float64 {
 			completed := metascritic.CompleteWith(est.E, est.Mask, features, res.Rank, res.Lambda, res.FeatureWeight)
-			var scores []float64
-			var labels []bool
-			n := len(members)
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					scores = append(scores, completed.At(i, j))
-					labels = append(labels, truth.M.Has(i, j))
-				}
-			}
+			scores, labels := h.truthLabels(res.Metro, completed)
 			_, f := stats.BestF1Threshold(scores, labels)
 			return f
 		}
@@ -157,8 +133,8 @@ type PriorAblationRow struct {
 // cost (the paper reports ~6× fewer initialization measurements) without
 // hurting the informative rate.
 func AblationHierarchicalPrior(h *Harness) ([]PriorAblationRow, *Table) {
-	// Use a secondary metro not among the primaries so its store history
-	// is limited to public + other metros' targeted traces.
+	// Use a secondary metro not among the primaries. Both variants run on
+	// a snapshot of the public seed alone, so they differ only in priors.
 	target := -1
 	for mi, ms := range h.W.Cfg.Metros {
 		if !ms.Primary && len(h.W.G.Metros[mi].Members) >= 20 {
@@ -177,15 +153,11 @@ func AblationHierarchicalPrior(h *Harness) ([]PriorAblationRow, *Table) {
 	pooled := probe.PoolPriors(rates...)
 
 	runVariant := func(name string, priors *[probe.NumStrategies]float64) PriorAblationRow {
-		pipe := metascritic.NewPipeline(h.W)
-		for _, t := range h.publicPlan {
-			pipe.Store.AddTrace(pipe.Engine.Run(t[0], t[1], t[2]))
-		}
 		cfg := h.Cfg
 		cfg.Seed = h.Seed + 401
 		cfg.MaxMeasurements = 2500
 		cfg.Priors = priors
-		res, err := pipe.Run(context.Background(), target, cfg)
+		res, err := h.pub.Snapshot().Run(context.Background(), target, cfg)
 		if err != nil {
 			// Ablation configs derive from the harness defaults; a failure
 			// here is a programming error, matching Harness.Run.

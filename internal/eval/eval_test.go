@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"metascritic/internal/obs"
 	"metascritic/internal/stats"
 )
 
@@ -37,6 +38,22 @@ func TestHarnessRunCachesAndOrders(t *testing.T) {
 	}
 	if len(h.RunPrimaries()) != 6 {
 		t.Fatalf("expected 6 primary results")
+	}
+}
+
+// TestHarnessSharedStoreHoldsTargetedEvidence pins what E7, Fig. 9M and
+// the transferability ablation rely on: every metro run adds its targeted
+// traces to the shared store, while the public snapshot keeps the public
+// seed alone.
+func TestHarnessSharedStoreHoldsTargetedEvidence(t *testing.T) {
+	h := testHarness(t)
+	for _, res := range h.RunPrimaries() {
+		shared := h.P.Store.Estimate(res.Metro, res.Members, obs.NegMetascritic).Mask.Count()
+		public := h.pub.Store.Estimate(res.Metro, res.Members, obs.NegMetascritic).Mask.Count()
+		if shared <= public {
+			t.Errorf("%s: shared store has %d entries, public snapshot %d; targeted evidence is missing",
+				h.MetroName(res.Metro), shared, public)
+		}
 	}
 }
 

@@ -396,13 +396,7 @@ func holdoutRMSE(E *mat.Matrix, mask *mat.Mask, r int, rng *rand.Rand) float64 {
 // Fig11 drives each selection strategy on the Sydney-like metro and
 // reports per-batch edge discovery and rows above the rank threshold.
 func Fig11(h *Harness) (map[string][]BatchStat, *Table) {
-	metro := h.W.G.MetroOfName("Sydney").Index
-	msRes := h.Run(metro)
-	budget := msRes.Measurements
-	if budget < 200 {
-		budget = 200
-	}
-	batch := budget / 6
+	metro, msRes, budget, batch := h.strategyBudget(6)
 	pickers := []baseline.Picker{
 		MetascriticPicker{Eps: 0.1},
 		baseline.Greedy{},

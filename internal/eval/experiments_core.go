@@ -232,16 +232,7 @@ func publicPairFeatures(h *Harness, res *metascritic.Result) func(i, j int) []fl
 // Table2 compares the six selection strategies on a Sydney-like metro
 // under metAScritic's measurement budget.
 func Table2(h *Harness) ([]*StrategyRun, *Table) {
-	metro := h.W.G.MetroOfName("Sydney").Index
-	msRes := h.Run(metro)
-	budget := msRes.Measurements
-	if budget < 200 {
-		budget = 200
-	}
-	batch := budget / 8
-	if batch < 20 {
-		batch = 20
-	}
+	metro, msRes, budget, batch := h.strategyBudget(8)
 	pickers := []baseline.Picker{
 		baseline.Greedy{},
 		baseline.IXPMapped{},

@@ -650,16 +650,11 @@ func (h *Harness) publicOnlyResult(metro int) *metascritic.Result {
 	if h.pubOnly == nil {
 		h.pubOnly = map[int]*metascritic.Result{}
 	}
-	pipe := metascritic.NewPipeline(h.W)
-	// Fresh pipeline shares the world but uses its own store: replay the
-	// public plan only, then complete without any budget.
-	for _, t := range h.publicPlan {
-		pipe.Store.AddTrace(pipe.Engine.Run(t[0], t[1], t[2]))
-	}
+	// Complete over the public seed alone, without any budget.
 	cfg := h.Cfg
 	cfg.MaxMeasurements = 0
 	cfg.Seed = h.Seed + int64(metro) + 500
-	r, err := pipe.Run(context.Background(), metro, cfg)
+	r, err := h.pub.Snapshot().Run(context.Background(), metro, cfg)
 	if err != nil {
 		// Public-only replays reuse the harness config; a failure here is a
 		// programming error, matching Harness.Run.

@@ -16,10 +16,10 @@ import (
 	"metascritic"
 	"metascritic/internal/asgraph"
 	"metascritic/internal/bgp"
-	"metascritic/internal/engine"
 	"metascritic/internal/igdb"
 	"metascritic/internal/mat"
 	"metascritic/internal/netsim"
+	"metascritic/internal/probe"
 	"metascritic/internal/stats"
 )
 
@@ -35,6 +35,10 @@ type Harness struct {
 	order   []int // metros in run order (hierarchical priors flow along it)
 
 	publicPlan [][3]int // (vpAS, vpMetro, dst) public seed traceroutes
+	// pub is the pipeline as it stood after the public seed, before any
+	// targeted run: runs that must see public evidence only start from a
+	// snapshot of it.
+	pub *metascritic.Pipeline
 
 	pubView   map[asgraph.Pair]bool
 	pubCache  *bgp.RouteCache
@@ -87,8 +91,8 @@ func NewHarness(opt Options) *Harness {
 	w := netsim.Generate(netsim.Config{Seed: opt.Seed, Metros: netsim.DefaultMetros(opt.Scale)})
 	p := metascritic.NewPipeline(w)
 	// Build an explicit public-measurement plan (instead of calling
-	// SeedPublicMeasurements) so strategy comparisons can replay the
-	// exact same public seed into fresh observation stores.
+	// SeedPublicMeasurements) so RunStrategy can replay the exact same
+	// public seed into its own observation store.
 	rng := rand.New(rand.NewSource(opt.Seed + 1000))
 	var plan [][3]int
 	for _, pr := range w.Probes {
@@ -111,7 +115,8 @@ func NewHarness(opt Options) *Harness {
 	cfg.Rank.Iterations = 8
 	cfg.Seed = opt.Seed
 
-	return &Harness{W: w, P: p, Cfg: cfg, Seed: opt.Seed, publicPlan: plan, results: map[int]*metascritic.Result{}}
+	return &Harness{W: w, P: p, Cfg: cfg, Seed: opt.Seed, publicPlan: plan, pub: p.Snapshot(),
+		results: map[int]*metascritic.Result{}}
 }
 
 // Run executes (or returns the cached) metAScritic result for a metro.
@@ -124,11 +129,11 @@ func (h *Harness) Run(metro int) *metascritic.Result {
 	cfg := h.Cfg
 	cfg.Seed = h.Seed + int64(metro)
 	if len(h.order) > 0 {
-		var rates [][144]float64
-		for _, m := range h.order {
-			rates = append(rates, h.results[m].StrategyRates)
+		rates := make([][probe.NumStrategies]float64, len(h.order))
+		for i, m := range h.order {
+			rates[i] = h.results[m].StrategyRates
 		}
-		pooled := poolRates(rates)
+		pooled := probe.PoolPriors(rates...)
 		cfg.Priors = &pooled
 	}
 	r, err := h.P.Run(context.Background(), metro, cfg)
@@ -140,64 +145,6 @@ func (h *Harness) Run(metro int) *metascritic.Result {
 	h.results[metro] = r
 	h.order = append(h.order, metro)
 	return r
-}
-
-// RunPrimariesParallel runs all (not yet cached) study metros through the
-// concurrent engine with cross-metro prior sharing, adopts the results
-// into the harness cache, and returns the batch statistics. Experiments
-// that later ask for these metros reuse the cached results, so warming
-// the cache this way parallelizes the dominant cost of a full experiment
-// sweep. Unlike sequential Run, each metro measures against an isolated
-// snapshot of the public evidence (the engine's determinism contract),
-// so absolute numbers can differ slightly from a sequentially warmed
-// cache.
-func (h *Harness) RunPrimariesParallel(ctx context.Context, workers int) (engine.RunStats, error) {
-	metros := h.W.PrimaryMetros()
-	sort.Ints(metros)
-	var todo []int
-	for _, m := range metros {
-		if _, ok := h.results[m]; !ok {
-			todo = append(todo, m)
-		}
-	}
-	if len(todo) == 0 {
-		return engine.RunStats{}, nil
-	}
-	eng := engine.New(h.P)
-	if len(h.order) > 0 {
-		var rates [][144]float64
-		for _, m := range h.order {
-			rates = append(rates, h.results[m].StrategyRates)
-		}
-		eng.Priors().Add(poolRates(rates))
-	}
-	mr, err := eng.RunAll(ctx, engine.Config{
-		Base:        h.Cfg,
-		Metros:      todo,
-		Workers:     workers,
-		SharePriors: true,
-	})
-	if err != nil {
-		return engine.RunStats{}, fmt.Errorf("eval: parallel primaries: %w", err)
-	}
-	for _, m := range mr.Metros {
-		h.results[m] = mr.Results[m]
-		h.order = append(h.order, m)
-	}
-	return mr.Stats, nil
-}
-
-func poolRates(rates [][144]float64) [144]float64 {
-	var out [144]float64
-	for _, r := range rates {
-		for i := range out {
-			out[i] += r[i]
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(rates))
-	}
-	return out
 }
 
 // RunPrimaries runs all six study metros in deterministic order.
@@ -217,11 +164,17 @@ func (h *Harness) MetroName(m int) string { return h.W.G.Metros[m].Name }
 // TruthLabels extracts ground-truth labels and completed scores for all
 // member pairs of a result.
 func (h *Harness) TruthLabels(res *metascritic.Result) (scores []float64, labels []bool) {
-	truth := h.W.Truths[res.Metro]
-	n := len(res.Members)
+	return h.truthLabels(res.Metro, res.Ratings)
+}
+
+// truthLabels pairs every upper-triangle entry of a metro's completed
+// member matrix with its ground-truth link label.
+func (h *Harness) truthLabels(metro int, completed *mat.Matrix) (scores []float64, labels []bool) {
+	truth := h.W.Truths[metro]
+	n := completed.Rows
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			scores = append(scores, res.Ratings.At(i, j))
+			scores = append(scores, completed.At(i, j))
 			labels = append(labels, truth.M.Has(i, j))
 		}
 	}
@@ -266,20 +219,18 @@ type SplitEval struct {
 }
 
 // EvaluateSplit removes entries from the result's measured estimate
-// according to the split, re-completes, and scores the held-out entries
-// (labels = measured sign, the paper's cross-validation).
+// according to the split, re-completes with the result's hyperparameters,
+// and scores the held-out entries (labels = measured sign, the paper's
+// cross-validation).
 func (h *Harness) EvaluateSplit(res *metascritic.Result, kind SplitKind, frac float64, seed int64) SplitEval {
 	est := res.Estimate
 	rng := rand.New(rand.NewSource(seed))
 	holdout := buildHoldout(est.Mask, kind, frac, rng)
 	features := metascritic.BuildFeatures(h.W.G, res.Members)
-	completed := completeLike(res, est.E, est.Mask, holdout, features)
+	completed := metascritic.CompleteWithout(est.E, est.Mask, features, holdout, res.Rank, res.Lambda, res.FeatureWeight)
 
 	ev := SplitEval{Kind: kind}
-	for _, hh := range holdout {
-		ev.Scores = append(ev.Scores, completed.At(hh[0], hh[1]))
-		ev.Labels = append(ev.Labels, est.E.At(hh[0], hh[1]) > 0)
-	}
+	ev.Scores, ev.Labels = holdoutLabels(completed, est.E, holdout)
 	if len(ev.Scores) == 0 {
 		return ev
 	}
@@ -301,10 +252,10 @@ type SplitSpec struct {
 
 // EvaluateSplits scores every spec against the same result on a bounded
 // worker pool and returns the evaluations in spec order. Each evaluation is
-// an independent holdout draw plus a completion (completeLike), so they
-// parallelize the same way the measurement fan-out does: pure work fans
-// out, results land in a spec-indexed slice, and the output is byte-
-// identical to calling EvaluateSplit sequentially for each spec.
+// an independent holdout draw plus a completion, so they parallelize the
+// same way the measurement fan-out does: pure work fans out, results land
+// in a spec-indexed slice, and the output is byte-identical to calling
+// EvaluateSplit sequentially for each spec.
 func (h *Harness) EvaluateSplits(res *metascritic.Result, specs []SplitSpec) []SplitEval {
 	out := make([]SplitEval, len(specs))
 	if len(specs) == 0 {
@@ -329,10 +280,14 @@ func (h *Harness) EvaluateSplits(res *metascritic.Result, specs []SplitSpec) []S
 	return out
 }
 
-// completeLike re-runs the final completion with the result's
-// hyperparameters, with the holdout entries overlaid out of the mask.
-func completeLike(res *metascritic.Result, E *mat.Matrix, mask *mat.Mask, holdout [][2]int, features *mat.Matrix) *mat.Matrix {
-	return metascritic.CompleteWithout(E, mask, features, holdout, res.Rank, res.Lambda, res.FeatureWeight)
+// holdoutLabels pairs every held-out entry's completed score with its
+// measured sign, the label of the paper's cross-validation.
+func holdoutLabels(completed, E *mat.Matrix, holdout [][2]int) (scores []float64, labels []bool) {
+	for _, hh := range holdout {
+		scores = append(scores, completed.At(hh[0], hh[1]))
+		labels = append(labels, E.At(hh[0], hh[1]) > 0)
+	}
+	return scores, labels
 }
 
 func buildHoldout(mask *mat.Mask, kind SplitKind, frac float64, rng *rand.Rand) [][2]int {
@@ -403,20 +358,6 @@ func buildHoldout(mask *mat.Mask, kind SplitKind, frac float64, rng *rand.Rand) 
 		}
 		return out
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // --- text table rendering ---

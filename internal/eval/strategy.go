@@ -50,6 +50,17 @@ type StrategyRun struct {
 	Est       *obs.Estimate
 }
 
+// strategyBudget is the preamble of the strategy comparisons (Table 2,
+// Fig. 11 and the ε ablation) on the Sydney-like metro: metAScritic's own
+// run there, and the budget every strategy spends — metAScritic's
+// measurement count, at least 200 — in batches of budget/div, at least 20.
+func (h *Harness) strategyBudget(div int) (metro int, msRes *metascritic.Result, budget, batch int) {
+	metro = h.W.G.MetroOfName("Sydney").Index
+	msRes = h.Run(metro)
+	budget = max(msRes.Measurements, 200)
+	return metro, msRes, budget, max(budget/div, 20)
+}
+
 // RunStrategy replays the public seed into a fresh store, then spends the
 // measurement budget according to the picker, finally completing the
 // matrix and scoring it against ground truth. If fixedRank > 0 it is used
@@ -99,18 +110,8 @@ func (h *Harness) RunStrategy(metro int, picker baseline.Picker, budget, batchSi
 
 	// Completion and scoring against ground truth.
 	features := metascritic.BuildFeatures(g, members)
-	truth := h.W.Truths[metro]
 	score := func(r int) (p, rec, f float64) {
-		completed := metascritic.CompleteWith(est.E, est.Mask, features, r, 0.08, 0.35)
-		var scores []float64
-		var labels []bool
-		n := len(members)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				scores = append(scores, completed.At(i, j))
-				labels = append(labels, truth.M.Has(i, j))
-			}
-		}
+		scores, labels := h.truthLabels(metro, metascritic.CompleteWith(est.E, est.Mask, features, r, 0.08, 0.35))
 		thr, fbest := stats.BestF1Threshold(scores, labels)
 		c := stats.Confuse(scores, labels, thr)
 		return c.Precision(), c.Recall(), fbest

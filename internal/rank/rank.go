@@ -23,6 +23,10 @@ import (
 // entries actually added.
 type TopUpFunc func(need []int) int
 
+// minImprove is the relative MSE improvement below which a round counts
+// as non-improving.
+const minImprove = 0.002
+
 // Config tunes the estimation loop.
 type Config struct {
 	// MaxRank caps the candidate rank.
@@ -37,9 +41,6 @@ type Config struct {
 	Lambda        float64
 	FeatureWeight float64
 	Iterations    int
-	// MinImprove is the relative MSE improvement below which a round
-	// counts as non-improving.
-	MinImprove float64
 	// HoldoutDraws averages the MSE over several independent holdout
 	// draws per round, denoising the stopping decision on small metros.
 	HoldoutDraws int
@@ -69,9 +70,6 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.FeatureWeight) || c.FeatureWeight < 0 {
 		return fmt.Errorf("rank: FeatureWeight must be a non-negative number, got %v", c.FeatureWeight)
 	}
-	if math.IsNaN(c.MinImprove) {
-		return fmt.Errorf("rank: MinImprove must be a number")
-	}
 	return nil
 }
 
@@ -84,7 +82,6 @@ func DefaultConfig() Config {
 		Lambda:        0.08,
 		FeatureWeight: 0.35,
 		Iterations:    10,
-		MinImprove:    0.002,
 		HoldoutDraws:  3,
 		Seed:          1,
 	}
@@ -221,7 +218,7 @@ func Estimate(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, topUp TopUpFu
 		if r == 1 {
 			minEval = max(20, cnt/2)
 		}
-		if cnt >= minEval && mse < res.BestMSE*(1-cfg.MinImprove) {
+		if cnt >= minEval && mse < res.BestMSE*(1-minImprove) {
 			res.BestMSE = mse
 			res.Rank = r
 			bad = 0

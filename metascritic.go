@@ -34,6 +34,10 @@ import (
 	"metascritic/internal/traceroute"
 )
 
+// priorWeight is the pseudo-trial mass each transferred Config.Priors rate
+// carries into a metro's strategy statistics.
+const priorWeight = 20
+
 // Config controls one metro run.
 type Config struct {
 	// Epsilon is the exploration fraction ε of §3.3.1 (paper default 0.1).
@@ -47,9 +51,8 @@ type Config struct {
 	// Rank configures the effective-rank estimation loop.
 	Rank rank.Config
 	// Priors optionally seeds strategy success rates from other metros
-	// (Appx. D.6); PriorWeight is its pseudo-trial mass.
-	Priors      *[probe.NumStrategies]float64
-	PriorWeight float64
+	// (Appx. D.6), each with priorWeight pseudo-trials of mass.
+	Priors *[probe.NumStrategies]float64
 	// BootstrapPerStrategy is the number of calibration traceroutes run
 	// per measurement strategy before targeted selection begins (§3.3.2).
 	// When cross-metro Priors are provided, a fifth as many suffice
@@ -91,7 +94,6 @@ func DefaultConfig() Config {
 		MaxMeasurements:      40000,
 		NegPolicy:            obs.NegMetascritic,
 		Rank:                 rank.DefaultConfig(),
-		PriorWeight:          20,
 		BootstrapPerStrategy: 6,
 		MaxMetroMembers:      1024,
 		Seed:                 1,

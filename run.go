@@ -168,7 +168,7 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 	sel := probe.NewSelector(p.World.G, metro, members, p.VPs(), p.Hitlist)
 	boot := cfg.BootstrapPerStrategy
 	if cfg.Priors != nil {
-		sel.InitPriors(*cfg.Priors, cfg.PriorWeight)
+		sel.InitPriors(*cfg.Priors, priorWeight)
 		boot = (boot + 4) / 5 // transferred priors need far fewer samples
 	}
 

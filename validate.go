@@ -7,7 +7,7 @@ import (
 
 // Validate rejects configurations that would make a run silently
 // misbehave: NaN or out-of-range exploration fractions, non-positive batch
-// sizes, negative prior mass, and zero-valued rank settings (a Config
+// sizes, out-of-range priors, and zero-valued rank settings (a Config
 // should start from DefaultConfig, which fills them). Every run entry
 // point calls it, so an invalid Config fails fast with a descriptive
 // error instead of producing a quietly wrong topology.
@@ -20,9 +20,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxMeasurements < 0 {
 		return fmt.Errorf("%w: MaxMeasurements must be non-negative, got %d", ErrInvalidConfig, c.MaxMeasurements)
-	}
-	if math.IsNaN(c.PriorWeight) || c.PriorWeight < 0 {
-		return fmt.Errorf("%w: PriorWeight must be a non-negative number, got %v", ErrInvalidConfig, c.PriorWeight)
 	}
 	if c.Priors != nil {
 		for i, v := range c.Priors {

@@ -28,8 +28,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero batch", mutate(func(c *Config) { c.BatchSize = 0 })},
 		{"negative batch", mutate(func(c *Config) { c.BatchSize = -5 })},
 		{"negative budget", mutate(func(c *Config) { c.MaxMeasurements = -1 })},
-		{"negative prior weight", mutate(func(c *Config) { c.PriorWeight = -2 })},
-		{"NaN prior weight", mutate(func(c *Config) { c.PriorWeight = math.NaN() })},
 		{"negative bootstrap", mutate(func(c *Config) { c.BootstrapPerStrategy = -1 })},
 		{"zero rank config", mutate(func(c *Config) { c.Rank.MaxRank = 0 })},
 		{"zero rank iterations", mutate(func(c *Config) { c.Rank.Iterations = 0 })},
