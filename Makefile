@@ -11,7 +11,7 @@ BASE ?= HEAD
 PAIRS ?= 10
 PROFILE_DIR ?= profiles
 
-.PHONY: build test check bench bench-engine bench-100k bench-compare profile race-run race-measure race-obs race-bgp race-api race-netsim race-stream clean
+.PHONY: build test check bench bench-engine bench-100k bench-compare profile race-run clean
 
 build:
 	$(GO) build ./...
@@ -20,9 +20,9 @@ test:
 	$(GO) test ./...
 
 # check is the pre-merge gate: fail on any file gofmt would rewrite, vet
-# everything, then run the engine package (and the rest of the tree)
-# under the race detector. The engine runs metros concurrently over shared read-only state, so a
-# race-clean pass is part of its contract. perfbench/ is a nested module
+# everything, then run the whole tree under the race detector. Every
+# fan-out (par.For) runs over shared read-only state, so a race-clean
+# pass is part of the pipeline's contract. perfbench/ is a nested module
 # that `go build ./...` never compiles, yet it reads the pipeline's
 # Result, PhaseTimings and ALS API, so it is vetted here as well.
 check:
@@ -30,7 +30,7 @@ check:
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) -C perfbench vet ./...
-	$(GO) test -race ./internal/engine/... ./...
+	$(GO) test -race ./...
 
 # bench runs the hot-path micro-benchmarks at METASCRITIC_BENCH_SCALE and
 # prints go test's report. -p 1 serializes the per-package test binaries:
@@ -79,52 +79,13 @@ profile:
 
 # race-run vets and races the end-to-end run path: one multi-metro batch
 # and the speculative single-metro pipeline, both under the race
-# detector at a small but non-trivial scale.
+# detector at a small but non-trivial scale. check runs no benchmarks,
+# so this is the one race pass over them.
 race-run:
 	$(GO) vet . ./internal/engine/
 	METASCRITIC_BENCH_SCALE=0.15 $(GO) test -race -run '^$$' \
 		-bench 'BenchmarkRunAll/metros=4/workers=4|BenchmarkRunMetro' \
 		-benchtime 1x . ./internal/engine/
-
-# race-measure exercises the speculative measurement pipeline (fan-out,
-# ordered commit, prefetch, parallel tune/eval helpers) under the race
-# detector — the concurrency contract of measure.go is part of tier-1.
-race-measure:
-	$(GO) test -race . ./internal/traceroute/ ./internal/engine/ \
-		./internal/als/ ./internal/eval/ ./internal/mat/
-
-# race-obs exercises the evidence layer's copy-on-write snapshots under
-# the race detector: concurrent Clones plus divergent base/snapshot
-# mutation (the engine's isolation pattern) must be race-free.
-race-obs:
-	$(GO) test -race ./internal/obs/
-
-# race-bgp exercises the routing substrate's concurrency contract: the
-# sharded route cache's singleflight, the batched RoutesToAll fan-out on
-# overlapping destination sets, and per-worker propagation scratches.
-race-bgp:
-	$(GO) test -race ./internal/bgp/
-
-# race-api exercises the serving daemon under the race detector: readers
-# on the atomically-swapped State while runs commit, rate limiting, and
-# the run manager's drain/cancel paths.
-race-api:
-	$(GO) test -race ./internal/api/... ./internal/engine/ ./cmd/metascriticd/
-
-# race-netsim exercises the parallel world-generation path (metro-bucketed
-# candidate enumeration over the worker pool) under the race detector,
-# including the worker-count invariance test at several pool sizes.
-race-netsim:
-	$(GO) test -race ./internal/netsim/ ./internal/asgraph/ ./internal/graphmetrics/
-
-# race-stream vets and races the streaming path end to end: netsim
-# evolution (replayable EventBatches), obs epoch advance / windowed
-# refresh, the root Evolve/Rescore composition, and the daemon's ingest
-# endpoint serving readers while churn is absorbed.
-race-stream:
-	$(GO) vet ./internal/netsim/ ./internal/obs/ ./internal/api/... .
-	$(GO) test -race -run 'Evolve|Epoch|Stale|Stream|Rescore|Ingest' \
-		./internal/netsim/ ./internal/obs/ ./internal/api/... .
 
 clean:
 	$(GO) clean ./...

@@ -15,10 +15,9 @@ package als
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"metascritic/internal/mat"
+	"metascritic/internal/par"
 )
 
 // Options configures a completion run.
@@ -130,28 +129,15 @@ type TuneResult struct {
 	MSE           float64
 }
 
-// Tune grid-searches the regularizer and feature weight against a random
-// holdout of observed entries (Appx. D.4 / [56]). Two problems back the
-// whole grid — a featureless one for the weight-0 points and a featured one
-// for the rest — so the observation structure is built twice, not once per
-// grid point. The grid points are independent completions, so they are
-// scored on a bounded worker pool; the winner is then selected by a serial
-// scan in grid order, which keeps the result byte-identical to the
-// sequential search (ties keep the earliest grid point either way).
-func Tune(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, rank int, rng *rand.Rand) TuneResult {
-	probNoF := NewProblem(E, mask, nil)
-	var probF *Problem
-	if features != nil && features.Cols > 0 {
-		probF = NewProblem(E, mask, features)
-	}
-	return TuneWith(probNoF, probF, E, mask, rank, rng)
-}
-
-// TuneWith is Tune over caller-prebuilt problems: probNoF backs the
-// feature-weight-0 grid points and probF (nil when there are no features)
-// the rest. Callers that complete the matrix right after tuning build the
-// two problems once and share them with the final completion instead of
-// paying NewProblem three times per run.
+// TuneWith grid-searches the regularizer and feature weight against a
+// random holdout of observed entries (Appx. D.4 / [56]). Two caller-built
+// problems back the whole grid: probNoF serves the feature-weight-0 points
+// and probF (nil when there are no features) the rest, so callers that
+// complete the matrix right after tuning share them with the final
+// completion. The grid points are independent completions scored through
+// par.For; the winner is then selected by a serial scan in grid order,
+// which keeps the result byte-identical to the sequential search (ties
+// keep the earliest grid point either way).
 func TuneWith(probNoF, probF *Problem, E *mat.Matrix, mask *mat.Mask, rank int, rng *rand.Rand) TuneResult {
 	// Build a holdout of ~10% of observed entries.
 	var entries [][2]int
@@ -179,27 +165,15 @@ func TuneWith(probNoF, probF *Problem, E *mat.Matrix, mask *mat.Mask, rank int, 
 		}
 	}
 	mses := make([]float64, len(grid))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(grid) {
-		workers = len(grid)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for gi := start; gi < len(grid); gi += workers {
-				pt := grid[gi]
-				p := probNoF
-				if pt.fw > 0 && probF != nil {
-					p = probF
-				}
-				opts := Options{Rank: rank, Lambda: pt.lambda, FeatureWeight: pt.fw, Iterations: 8, Seed: 1}
-				mses[gi] = holdoutMSEProblem(p, E, ov, holdout, opts)
-			}
-		}(w)
-	}
-	wg.Wait()
+	par.For(len(grid), 0, func(_, gi int) {
+		pt := grid[gi]
+		p := probNoF
+		if pt.fw > 0 && probF != nil {
+			p = probF
+		}
+		opts := Options{Rank: rank, Lambda: pt.lambda, FeatureWeight: pt.fw, Iterations: 8, Seed: 1}
+		mses[gi] = holdoutMSEProblem(p, E, ov, holdout, opts)
+	})
 
 	best := TuneResult{MSE: math.Inf(1)}
 	for gi, pt := range grid {

@@ -179,7 +179,7 @@ func TestTunePicksFiniteConfig(t *testing.T) {
 	for i := range features.Data {
 		features.Data[i] = rng.NormFloat64()
 	}
-	res := Tune(truth, mask, features, 4, rng)
+	res := TuneWith(NewProblem(truth, mask, nil), NewProblem(truth, mask, features), truth, mask, 4, rng)
 	if math.IsInf(res.MSE, 1) {
 		t.Fatalf("tune found nothing")
 	}

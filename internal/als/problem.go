@@ -2,10 +2,10 @@ package als
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"metascritic/internal/mat"
+	"metascritic/internal/par"
 )
 
 // Problem is the reusable form of one hybrid completion problem: the
@@ -164,7 +164,7 @@ func (p *Problem) CompleteFactors(opts Options, holdout *mat.Overlay, warm *Fact
 	return p.reconstruct(P, Q, k), &Factors{P: P, Q: Q}
 }
 
-// solverScratch is the per-worker normal-equation workspace, pooled across
+// solverScratch is one row solve's normal-equation workspace, pooled across
 // solves: the rank-estimation loop calls Complete hundreds of times and the
 // k×k system matrices are identically shaped within a sweep.
 type solverScratch struct {
@@ -196,40 +196,24 @@ func (s *solverScratch) sized(k int) (ata *mat.Matrix, atb []float64) {
 //	(Σ_j w_ij fixed_j fixed_jᵀ + λΣw I) free_i = Σ_j w_ij A_ij fixed_j
 //
 // writing the result into free. Rows are independent, so they are solved
-// by a bounded worker pool; each worker owns its scratch buffers and
-// writes only its own rows, keeping the result bit-identical to the
-// sequential computation.
+// through par.For; each row borrows pooled scratch buffers and writes only
+// its own output row, keeping the result bit-identical to the sequential
+// computation.
 func (p *Problem) solveSide(holdout *mat.Overlay, fixed, free *mat.Matrix, lambda, fw float64) {
-	dim := len(p.rows)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > dim {
-		workers = dim
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	k := fixed.Cols
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			sc := scratchPool.Get().(*solverScratch)
-			ata, atb := sc.sized(k)
-			for i := start; i < dim; i += workers {
-				obs := p.rows[i]
-				if holdout != nil && i < p.n {
-					if rm := holdout.Removed(i); len(rm) > 0 {
-						sc.obs = filterObs(sc.obs[:0], obs, rm)
-						obs = sc.obs
-					}
-				}
-				p.solveRow(i, obs, fixed, free.Row(i), lambda, fw, ata, atb, sc)
+	par.For(len(p.rows), 0, func(_, i int) {
+		sc := scratchPool.Get().(*solverScratch)
+		ata, atb := sc.sized(k)
+		obs := p.rows[i]
+		if holdout != nil && i < p.n {
+			if rm := holdout.Removed(i); len(rm) > 0 {
+				sc.obs = filterObs(sc.obs[:0], obs, rm)
+				obs = sc.obs
 			}
-			scratchPool.Put(sc)
-		}(w)
-	}
-	wg.Wait()
+		}
+		p.solveRow(i, obs, fixed, free.Row(i), lambda, fw, ata, atb, sc)
+		scratchPool.Put(sc)
+	})
 }
 
 // filterObs appends to dst the observations of row whose column is not in
@@ -300,44 +284,28 @@ func (p *Problem) solveRow(i int, obs []observation, fixed *mat.Matrix, out []fl
 }
 
 // reconstruct forms the symmetrized rating product restricted to the AS
-// block, clipped to [-1, 1]. The O(n²·k) loop is partitioned by row over a
-// bounded worker pool with the same strided, write-disjoint layout as
-// solveSide: worker w owns rows w, w+workers, ... and every (i, j) pair is
-// computed by exactly one worker, so the output is bit-identical to the
-// sequential loop.
+// block, clipped to [-1, 1]. The O(n²·k) loop is partitioned by row
+// through par.For: row i writes the pairs (i, j≥i) and their mirrors, so
+// every pair is computed exactly once and the output is bit-identical to
+// the sequential loop.
 func (p *Problem) reconstruct(P, Q *mat.Matrix, k int) *mat.Matrix {
 	n := p.n
 	out := mat.New(n, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < n; i += workers {
-				pi := P.Row(i)
-				qi := Q.Row(i)
-				for j := i; j < n; j++ {
-					pj := P.Row(j)
-					qj := Q.Row(j)
-					var a, b float64
-					for d := 0; d < k; d++ {
-						a += pi[d] * qj[d]
-						b += pj[d] * qi[d]
-					}
-					v := clip((a+b)/2, -1, 1)
-					out.Set(i, j, v)
-					out.Set(j, i, v)
-				}
+	par.For(n, 0, func(_, i int) {
+		pi := P.Row(i)
+		qi := Q.Row(i)
+		for j := i; j < n; j++ {
+			pj := P.Row(j)
+			qj := Q.Row(j)
+			var a, b float64
+			for d := 0; d < k; d++ {
+				a += pi[d] * qj[d]
+				b += pj[d] * qi[d]
 			}
-		}(w)
-	}
-	wg.Wait()
+			v := clip((a+b)/2, -1, 1)
+			out.Set(i, j, v)
+			out.Set(j, i, v)
+		}
+	})
 	return out
 }

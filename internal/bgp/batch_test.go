@@ -48,8 +48,8 @@ func TestRoutesToAllMatchesSerial(t *testing.T) {
 }
 
 // TestRoutesToAllConcurrent hammers one cache with overlapping destination
-// sets from many goroutines — run under -race (make race-bgp) this pins
-// the shard locking and per-worker scratch isolation.
+// sets from many goroutines — run under -race (make check) this pins
+// the shard locking and pooled scratch isolation.
 func TestRoutesToAllConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	top := randomTopology(rng, 300)

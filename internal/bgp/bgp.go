@@ -29,7 +29,7 @@
 //     relaxations are +1), replacing the binary heap of earlier revisions.
 //   - RouteCache is sharded by destination hash, stores results in a
 //     compact struct-of-arrays encoding (Routes, ~8 bytes per AS), and
-//     batch-computes missing destinations over a worker pool
+//     batch-computes missing destinations through par.For
 //     (Warm/RoutesToAll) with singleflight deduplication per destination.
 package bgp
 

@@ -2,12 +2,12 @@ package bgp
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"metascritic/internal/asgraph"
+	"metascritic/internal/par"
 )
 
 // numShards spreads the route cache over independently locked shards so
@@ -162,13 +162,6 @@ func entrySize(r Routes) int64 { return int64(r.Bytes()) + entryOverheadBytes }
 // dest as a packed view. A hit sets the entry's clock bit; a miss admits
 // the new view and evicts down to the shard's budget share.
 func (c *RouteCache) RoutesTo(dest int) Routes {
-	return c.routesTo(dest, nil)
-}
-
-// routesTo is RoutesTo with an optional caller-owned propagation scratch;
-// fan-out workers pass their per-worker scratch, single lookups borrow one
-// from the pool for the duration of the run.
-func (c *RouteCache) routesTo(dest int, s *propScratch) Routes {
 	sh := &c.shards[shardOf(dest)]
 	sh.mu.Lock()
 	if e, ok := sh.cache[dest]; ok {
@@ -190,19 +183,14 @@ func (c *RouteCache) routesTo(dest int, s *propScratch) Routes {
 	sh.computed++
 	sh.mu.Unlock()
 
-	scratch := s
-	if scratch == nil {
-		scratch = getScratch(c.t.n)
-	}
+	scratch := getScratch(c.t.n)
 	start := time.Now()
 	scratch.origin1[0] = Origin{AS: dest, Flag: 1}
 	scratch.run(c.t, scratch.origin1[:])
 	r := newRoutes(c.t.n)
 	scratch.emitPacked(r)
 	c.propNanos.Add(time.Since(start).Nanoseconds())
-	if s == nil {
-		putScratch(scratch)
-	}
+	putScratch(scratch)
 	fl.routes = r
 
 	sh.mu.Lock()
@@ -275,11 +263,11 @@ func (c *RouteCache) Contains(dest int) bool {
 }
 
 // Warm computes routes for every distinct destination in dests that is not
-// yet cached, fanning the propagation runs over a bounded worker pool with
-// one pooled scratch per worker. It returns the number of distinct missing
-// destinations it set out to compute. Cancelling ctx stops the fan-out
-// early; destinations already claimed keep computing via singleflight, so
-// no waiter is ever stranded.
+// yet cached, fanning the propagation runs out through par.For (workers <=
+// 0 means GOMAXPROCS); each run borrows a pooled scratch. It returns the
+// number of distinct missing destinations it set out to compute.
+// Cancelling ctx stops the fan-out early; destinations already claimed keep
+// computing via singleflight, so no waiter is ever stranded.
 func (c *RouteCache) Warm(ctx context.Context, dests []int, workers int) int {
 	seen := make(map[int]struct{}, len(dests))
 	todo := make([]int, 0, len(dests))
@@ -292,36 +280,11 @@ func (c *RouteCache) Warm(ctx context.Context, dests []int, workers int) int {
 			todo = append(todo, d)
 		}
 	}
-	if len(todo) == 0 {
-		return 0
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			s := getScratch(c.t.n)
-			defer putScratch(s)
-			for {
-				if ctx != nil && ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1) - 1)
-				if i >= len(todo) {
-					return
-				}
-				c.routesTo(todo[i], s)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(todo), workers, func(_, i int) {
+		if ctx.Err() == nil {
+			c.RoutesTo(todo[i])
+		}
+	})
 	return len(todo)
 }
 
@@ -332,12 +295,12 @@ func (c *RouteCache) Warm(ctx context.Context, dests []int, workers int) int {
 // gathering.
 func (c *RouteCache) RoutesToAll(ctx context.Context, dests []int, workers int) ([]Routes, error) {
 	c.Warm(ctx, dests, workers)
-	if ctx != nil && ctx.Err() != nil {
-		return nil, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	out := make([]Routes, len(dests))
 	for i, d := range dests {
-		out[i] = c.routesTo(d, nil)
+		out[i] = c.RoutesTo(d)
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -205,7 +206,7 @@ func TestEvictionComposesWithInvalidation(t *testing.T) {
 }
 
 // Concurrent RoutesTo / Warm / eviction / invalidation / stats: the
-// budgeted cache's concurrency contract, exercised under `make race-bgp`.
+// budgeted cache's concurrency contract, exercised under `make check`.
 func TestConcurrentEvictInvalidateRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 50
@@ -228,7 +229,7 @@ func TestConcurrentEvictInvalidateRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			c.Warm(nil, []int{i % n, (i * 7) % n, (i * 13) % n}, 2)
+			c.Warm(context.Background(), []int{i % n, (i * 7) % n, (i * 13) % n}, 2)
 			c.Stats()
 		}
 	}()

@@ -46,7 +46,7 @@ type propScratch struct {
 }
 
 // scratchPool recycles propagation workspaces across Propagate calls and
-// across the workers of batched route fan-outs.
+// route-cache misses.
 var scratchPool = sync.Pool{New: func() any { return new(propScratch) }}
 
 func getScratch(n int) *propScratch {

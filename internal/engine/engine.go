@@ -1,5 +1,5 @@
 // Package engine schedules concurrent metAScritic metro runs over one
-// shared world: a bounded worker pool executes metros in parallel, a
+// shared world: the par.For worker pool executes metros in parallel, a
 // thread-safe prior store streams learned strategy success rates from
 // finished metros into later ones (Appx. D.6's hierarchical
 // initialization, ~5x fewer bootstrap measurements), per-metro progress
@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"metascritic"
+	"metascritic/internal/par"
 	"metascritic/internal/sysmem"
 )
 
@@ -50,7 +51,7 @@ type Config struct {
 	// Metros lists the metro indices to run. Nil means the world's
 	// primary (study) metros, in ascending index order.
 	Metros []int
-	// Workers bounds the pool; 0 means runtime.GOMAXPROCS(0). The pool
+	// Workers bounds the metro pool (par.For); 0 means GOMAXPROCS. The pool
 	// never exceeds the number of metros.
 	Workers int
 	// SharePriors streams learned StrategyRates from finished metros into
@@ -172,13 +173,7 @@ func (e *Engine) RunAll(ctx context.Context, cfg Config) (*MultiResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(metros) {
-		workers = len(metros)
-	}
+	workers := par.Width(len(metros), cfg.Workers)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -199,102 +194,82 @@ func (e *Engine) RunAll(ctx context.Context, cfg Config) (*MultiResult, error) {
 		errMu.Unlock()
 	}
 
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range metros {
-			select {
-			case jobs <- i:
-			case <-runCtx.Done():
-				return
+	start := time.Now()
+	par.For(len(metros), workers, func(worker, idx int) {
+		if runCtx.Err() != nil {
+			return // batch aborted: leave the metro unstarted
+		}
+		metro := metros[idx]
+		name := e.pipe.World.G.Metros[metro].Name
+		mcfg := cfg.Base
+		mcfg.Seed = MetroSeed(cfg.Base.Seed, metro)
+		if mcfg.MeasureWorkers == 0 && workers > 1 {
+			// Metros already run concurrently here, so split the
+			// machine between pool workers instead of letting every
+			// metro's measurement fan-out claim all of GOMAXPROCS.
+			// Results are invariant to the measurement worker count
+			// (the pipeline's determinism contract), so this only
+			// changes scheduling, never output.
+			if mw := runtime.GOMAXPROCS(0) / workers; mw > 1 {
+				mcfg.MeasureWorkers = mw
+			} else {
+				mcfg.MeasureWorkers = 1
 			}
 		}
-	}()
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for idx := range jobs {
-				metro := metros[idx]
-				name := e.pipe.World.G.Metros[metro].Name
-				mcfg := cfg.Base
-				mcfg.Seed = MetroSeed(cfg.Base.Seed, metro)
-				if mcfg.MeasureWorkers == 0 && workers > 1 {
-					// Metros already run concurrently here, so split the
-					// machine between pool workers instead of letting every
-					// metro's measurement fan-out claim all of GOMAXPROCS.
-					// Results are invariant to the measurement worker count
-					// (the pipeline's determinism contract), so this only
-					// changes scheduling, never output.
-					if mw := runtime.GOMAXPROCS(0) / workers; mw > 1 {
-						mcfg.MeasureWorkers = mw
-					} else {
-						mcfg.MeasureWorkers = 1
-					}
-				}
-				usedPriors, priorMetros := false, 0
-				if cfg.SharePriors {
-					if pooled, n := e.priors.Pooled(); pooled != nil {
-						mcfg.Priors = pooled
-						usedPriors, priorMetros = true, n
-					}
-				}
-				e.emit(runCtx, cfg.Events, Event{
-					Kind: MetroStarted, Metro: metro, Name: name,
-					Worker: worker, Time: time.Now(), UsedPriors: usedPriors,
-				})
-				t0 := time.Now()
-				res, err := e.pipe.Snapshot().Run(runCtx, metro, mcfg)
-				var ms MetroStats
-				if res != nil {
-					ms = MetroStats{
-						Metro: metro, Name: name, Seed: mcfg.Seed, Worker: worker,
-						Wall:                  time.Since(t0),
-						Measurements:          res.Measurements,
-						BootstrapMeasurements: res.BootstrapMeasurements,
-						UsedPriors:            usedPriors,
-						PriorMetros:           priorMetros,
-						Phases:                res.Timings,
-					}
-				}
-				if err != nil {
-					if res != nil {
-						// A cancelled run returns its partial result: keep
-						// the telemetry of the phases that did run, so the
-						// batch's phase attribution covers aborted work.
-						ms.Aborted = true
-						stats[idx], ran[idx] = ms, true
-					}
-					fail(fmt.Errorf("engine: metro %s (%d): %w", name, metro, err))
-					e.emit(runCtx, cfg.Events, Event{
-						Kind: MetroFailed, Metro: metro, Name: name,
-						Worker: worker, Time: time.Now(), Err: err,
-					})
-					continue // drain remaining jobs; they abort on runCtx
-				}
-				results[idx] = res
-				stats[idx] = ms
-				ran[idx] = true
-				if cfg.SharePriors {
-					e.priors.Add(res.StrategyRates)
-				}
-				e.emit(runCtx, cfg.Events, Event{
-					Kind: MetroFinished, Metro: metro, Name: name,
-					Worker: worker, Time: time.Now(), UsedPriors: usedPriors,
-					Stats: &ms,
-				})
+		usedPriors, priorMetros := false, 0
+		if cfg.SharePriors {
+			if pooled, n := e.priors.Pooled(); pooled != nil {
+				mcfg.Priors = pooled
+				usedPriors, priorMetros = true, n
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+		e.emit(runCtx, cfg.Events, Event{
+			Kind: MetroStarted, Metro: metro, Name: name,
+			Worker: worker, Time: time.Now(), UsedPriors: usedPriors,
+		})
+		t0 := time.Now()
+		res, err := e.pipe.Snapshot().Run(runCtx, metro, mcfg)
+		var ms MetroStats
+		if res != nil {
+			ms = MetroStats{
+				Metro: metro, Name: name, Seed: mcfg.Seed, Worker: worker,
+				Wall:                  time.Since(t0),
+				Measurements:          res.Measurements,
+				BootstrapMeasurements: res.BootstrapMeasurements,
+				UsedPriors:            usedPriors,
+				PriorMetros:           priorMetros,
+				Phases:                res.Timings,
+			}
+		}
+		if err != nil {
+			if res != nil {
+				// A cancelled run returns its partial result: keep
+				// the telemetry of the phases that did run, so the
+				// batch's phase attribution covers aborted work.
+				ms.Aborted = true
+				stats[idx], ran[idx] = ms, true
+			}
+			fail(fmt.Errorf("engine: metro %s (%d): %w", name, metro, err))
+			e.emit(runCtx, cfg.Events, Event{
+				Kind: MetroFailed, Metro: metro, Name: name,
+				Worker: worker, Time: time.Now(), Err: err,
+			})
+			return
+		}
+		results[idx] = res
+		stats[idx] = ms
+		ran[idx] = true
+		if cfg.SharePriors {
+			e.priors.Add(res.StrategyRates)
+		}
+		e.emit(runCtx, cfg.Events, Event{
+			Kind: MetroFinished, Metro: metro, Name: name,
+			Worker: worker, Time: time.Now(), UsedPriors: usedPriors,
+			Stats: &ms,
+		})
+	})
 
-	errMu.Lock()
-	err = firstErr
-	errMu.Unlock()
-
+	err = firstErr // par.For has returned: every fail call happened before
 	out := &MultiResult{
 		Metros:  append([]int(nil), metros...),
 		Results: make(map[int]*metascritic.Result, len(metros)),

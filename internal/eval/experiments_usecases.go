@@ -4,13 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"metascritic"
 	"metascritic/internal/asgraph"
 	"metascritic/internal/bgp"
+	"metascritic/internal/par"
 	"metascritic/internal/stats"
 )
 
@@ -169,38 +168,26 @@ func Fig7(h *Harness) (Fig7Result, *Table) {
 		bgp, meas, lo, hi float64
 	}
 	accs := make([]hijackAcc, len(cfgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < len(cfgs); i += workers {
-				c := cfgs[i]
-				actual := truth.SimulateHijack(c.vict, c.att)
-				a := hijackAcc{
-					bgp:  accuracy(topoBGP, c.vict, c.att, actual),
-					meas: accuracy(topoMeas, c.vict, c.att, actual),
-					lo:   1.0,
-					hi:   0.0,
-				}
-				for _, ti := range topoInf {
-					acc := accuracy(ti, c.vict, c.att, actual)
-					if acc < a.lo {
-						a.lo = acc
-					}
-					if acc > a.hi {
-						a.hi = acc
-					}
-				}
-				accs[i] = a
+	par.For(len(cfgs), 0, func(_, i int) {
+		c := cfgs[i]
+		actual := truth.SimulateHijack(c.vict, c.att)
+		a := hijackAcc{
+			bgp:  accuracy(topoBGP, c.vict, c.att, actual),
+			meas: accuracy(topoMeas, c.vict, c.att, actual),
+			lo:   1.0,
+			hi:   0.0,
+		}
+		for _, ti := range topoInf {
+			acc := accuracy(ti, c.vict, c.att, actual)
+			if acc < a.lo {
+				a.lo = acc
 			}
-		}(w)
-	}
-	wg.Wait()
+			if acc > a.hi {
+				a.hi = acc
+			}
+		}
+		accs[i] = a
+	})
 	for _, a := range accs {
 		res.Configs++
 		res.AccBGP = append(res.AccBGP, a.bgp)
@@ -371,9 +358,8 @@ func Table3(h *Harness) ([]Table3Row, *Table) {
 // go through the batch route API, so the per-destination propagations fan
 // out over the worker pool instead of running one at a time.
 func comparePaths(base, ext *bgp.Topology, sources, dests []int) (shorter, provBase, provExt float64) {
-	workers := runtime.GOMAXPROCS(0)
-	rbs, _ := bgp.NewRouteCache(base).RoutesToAll(context.Background(), dests, workers)
-	res, _ := bgp.NewRouteCache(ext).RoutesToAll(context.Background(), dests, workers)
+	rbs, _ := bgp.NewRouteCache(base).RoutesToAll(context.Background(), dests, 0)
+	res, _ := bgp.NewRouteCache(ext).RoutesToAll(context.Background(), dests, 0)
 	total, short, pb, pe := 0, 0, 0, 0
 	for i, d := range dests {
 		rb, re := rbs[i], res[i]

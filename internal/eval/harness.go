@@ -8,10 +8,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"metascritic"
 	"metascritic/internal/asgraph"
@@ -19,6 +17,7 @@ import (
 	"metascritic/internal/igdb"
 	"metascritic/internal/mat"
 	"metascritic/internal/netsim"
+	"metascritic/internal/par"
 	"metascritic/internal/probe"
 	"metascritic/internal/stats"
 )
@@ -250,33 +249,18 @@ type SplitSpec struct {
 	Seed int64
 }
 
-// EvaluateSplits scores every spec against the same result on a bounded
-// worker pool and returns the evaluations in spec order. Each evaluation is
-// an independent holdout draw plus a completion, so they parallelize the
-// same way the measurement fan-out does: pure work fans out, results land
-// in a spec-indexed slice, and the output is byte-identical to calling
+// EvaluateSplits scores every spec against the same result through
+// par.For and returns the evaluations in spec order. Each evaluation is an
+// independent holdout draw plus a completion, so they parallelize the same
+// way the measurement fan-out does: pure work fans out, results land in a
+// spec-indexed slice, and the output is byte-identical to calling
 // EvaluateSplit sequentially for each spec.
 func (h *Harness) EvaluateSplits(res *metascritic.Result, specs []SplitSpec) []SplitEval {
 	out := make([]SplitEval, len(specs))
-	if len(specs) == 0 {
-		return out
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			for i := start; i < len(specs); i += workers {
-				s := specs[i]
-				out[i] = h.EvaluateSplit(res, s.Kind, s.Frac, s.Seed)
-			}
-		}(w)
-	}
-	wg.Wait()
+	par.For(len(specs), 0, func(_, i int) {
+		s := specs[i]
+		out[i] = h.EvaluateSplit(res, s.Kind, s.Frac, s.Seed)
+	})
 	return out
 }
 

@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"sort"
 
 	"metascritic"
@@ -73,7 +72,7 @@ func (h *Harness) publicView() map[asgraph.Pair]bool {
 	cache := bgp.NewRouteCache(bgp.FromGraph(g))
 	// Warm the whole destination sweep over the worker pool before the
 	// serial link walk — the propagations dominate, the walk is cheap.
-	cache.Warm(context.Background(), dests, runtime.GOMAXPROCS(0))
+	cache.Warm(context.Background(), dests, 0)
 	h.pubView = bgp.VisibleLinks(cache, monitors, dests)
 	h.pubCache = cache
 	return h.pubView

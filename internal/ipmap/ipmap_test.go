@@ -206,7 +206,7 @@ func TestExtendAfterEvolve(t *testing.T) {
 	for k, a := range r.ifaceAddr {
 		before[k] = a
 	}
-	spec := netsim.EvolveSpec{LinkDowns: 5, LinkUps: 5, NewASes: 3, IXPJoins: 4, Workers: 2}
+	spec := netsim.EvolveSpec{LinkDowns: 5, LinkUps: 5, NewASes: 3, IXPJoins: 4}
 	batch, err := w.Evolve(rand.New(rand.NewSource(6)), spec)
 	if err != nil {
 		t.Fatalf("Evolve: %v", err)

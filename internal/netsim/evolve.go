@@ -17,12 +17,11 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"metascritic/internal/asgraph"
 	"metascritic/internal/mat"
+	"metascritic/internal/par"
 )
 
 // EventKind classifies one evolution event.
@@ -172,9 +171,6 @@ type EvolveSpec struct {
 	// IXPJoins has that many (AS, IXP) memberships appear; route-server
 	// joins induce multilateral LinkUp events.
 	IXPJoins int
-	// Workers bounds the parallel candidate enumeration; 0 means
-	// GOMAXPROCS. The batch is byte-identical at any worker count.
-	Workers int
 }
 
 // wouldPeerBar mirrors the admission threshold in scanMetroPairs;
@@ -192,14 +188,11 @@ func (w *World) Evolve(rng *rand.Rand, spec EvolveSpec) (*EventBatch, error) {
 	if spec.LinkDowns < 0 || spec.Depeerings < 0 || spec.LinkUps < 0 || spec.NewASes < 0 || spec.IXPJoins < 0 {
 		return nil, fmt.Errorf("netsim: evolve: negative event count in %+v", spec)
 	}
-	if spec.Workers <= 0 {
-		spec.Workers = runtime.GOMAXPROCS(0)
-	}
 	batch := &EventBatch{Epoch: w.Epoch + 1}
 
 	// Candidate enumeration (parallel, rng-free, pre-batch state only).
 	downCands := w.downCandidates()
-	upCands := w.upCandidates(spec.Workers)
+	upCands := w.upCandidates()
 
 	// Sequential commit: the only rng consumer, in fixed order.
 	nDown := spec.LinkDowns + spec.Depeerings
@@ -255,35 +248,14 @@ func (w *World) downCandidates() []Pair {
 // upCandidates enumerates non-linked colocated pairs whose peering score
 // lands in the near-miss window under the would-peer bar — the pairs a
 // bit of extra traffic would tip into peering. The scan mirrors
-// buildPeering: per-metro fan-out over a worker pool, each pair claimed
-// at its lowest shared metro, merged and sorted canonically.
-func (w *World) upCandidates(workers int) []Pair {
-	g := w.G
+// buildPeering: per-metro fan-out through par.For, each pair claimed at
+// its lowest shared metro, merged and sorted canonically.
+func (w *World) upCandidates() []Pair {
 	k := w.Cfg.LatentDim
-	nMetros := len(g.Metros)
-	perMetro := make([][]Pair, nMetros)
-	if workers > nMetros {
-		workers = nMetros
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for m := range work {
-				perMetro[m] = w.scanUpPairs(m, k)
-			}
-		}()
-	}
-	for m := 0; m < nMetros; m++ {
-		work <- m
-	}
-	close(work)
-	wg.Wait()
+	perMetro := make([][]Pair, len(w.G.Metros))
+	par.For(len(perMetro), 0, func(_, m int) {
+		perMetro[m] = w.scanUpPairs(m, k)
+	})
 
 	total := 0
 	for _, pc := range perMetro {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"metascritic/internal/benchscale"
@@ -10,29 +11,28 @@ import (
 
 // churnSpec is the standard test batch: enough of every event kind to
 // exercise all apply paths.
-func churnSpec(workers int) EvolveSpec {
-	return EvolveSpec{
-		LinkDowns:  40,
-		Depeerings: 15,
-		LinkUps:    40,
-		NewASes:    5,
-		IXPJoins:   10,
-		Workers:    workers,
-	}
+var churnSpec = EvolveSpec{
+	LinkDowns:  40,
+	Depeerings: 15,
+	LinkUps:    40,
+	NewASes:    5,
+	IXPJoins:   10,
 }
 
 // TestEvolveWorkerInvariance mirrors TestGenerateWorkerInvariance for
 // the mutation API: the same (world, seed) must yield a byte-identical
-// batch and post-batch world at any worker count.
+// batch and post-batch world at any worker count. Not parallel: it sets
+// GOMAXPROCS, which sizes the par.For pool.
 func TestEvolveWorkerInvariance(t *testing.T) {
 	cfg := manyMetroConfig(70, 20)
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	var want uint64
 	var wantEvents int
 	for i, workers := range []int{1, 2, 7, 16} {
-		c := cfg
-		c.Workers = workers
-		w := Generate(c)
-		batch, err := w.Evolve(rand.New(rand.NewSource(7)), churnSpec(workers))
+		runtime.GOMAXPROCS(workers)
+		w := Generate(cfg)
+		batch, err := w.Evolve(rand.New(rand.NewSource(7)), churnSpec)
 		if err != nil {
 			t.Fatalf("workers=%d: Evolve: %v", workers, err)
 		}
@@ -58,7 +58,7 @@ func TestEvolveApplyReplica(t *testing.T) {
 	live, replica := Generate(cfg), Generate(cfg)
 	rng := rand.New(rand.NewSource(3))
 	for epoch := uint32(1); epoch <= 3; epoch++ {
-		batch, err := live.Evolve(rng, churnSpec(4))
+		batch, err := live.Evolve(rng, churnSpec)
 		if err != nil {
 			t.Fatalf("epoch %d: Evolve: %v", epoch, err)
 		}
@@ -82,7 +82,7 @@ func TestEvolveEventEffects(t *testing.T) {
 	nBefore := w.G.N()
 	linksBefore := len(w.LinkMetros)
 	rng := rand.New(rand.NewSource(9))
-	batch, err := w.Evolve(rng, churnSpec(4))
+	batch, err := w.Evolve(rng, churnSpec)
 	if err != nil {
 		t.Fatalf("Evolve: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestEvolveEventEffects(t *testing.T) {
 func TestEvolveDownsRemoveRelationships(t *testing.T) {
 	w := Generate(manyMetroConfig(30, 25))
 	rng := rand.New(rand.NewSource(21))
-	batch, err := w.Evolve(rng, EvolveSpec{LinkDowns: 30, Depeerings: 30, Workers: 2})
+	batch, err := w.Evolve(rng, EvolveSpec{LinkDowns: 30, Depeerings: 30})
 	if err != nil {
 		t.Fatalf("Evolve: %v", err)
 	}

@@ -22,7 +22,8 @@
 // # Scale
 //
 // Generation is built to reach real-Internet scale (~100k ASes, ~500k
-// links; Config.Workers bounds the worker pool). The peering build never
+// links; its parallel phases run on the par.For pool, GOMAXPROCS wide).
+// The peering build never
 // scans all AS pairs: candidate pairs are enumerated per metro (only
 // colocated ASes are ever scored), deduplicated by assigning each pair to
 // its lowest shared metro, scored in parallel, and then materialized by a
@@ -35,12 +36,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"metascritic/internal/asgraph"
 	"metascritic/internal/mat"
+	"metascritic/internal/par"
 )
 
 // MetroSpec describes one metro to generate.
@@ -79,10 +79,6 @@ type Config struct {
 	// the low-dimensional structure that makes connectivity matrices
 	// effectively low-rank without being visible in public features.
 	NumArchetypes int
-	// Workers bounds the parallel phases of generation (candidate scoring
-	// fan-out). 0 means GOMAXPROCS. The generated world is byte-identical
-	// at any worker count.
-	Workers int
 }
 
 // DefaultMetros returns the paper's six study metros plus a set of
@@ -278,9 +274,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.NumArchetypes == 0 {
 		c.NumArchetypes = 10
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -934,7 +927,7 @@ func (w *World) buildPeering(rng *rand.Rand) {
 	}
 }
 
-// enumeratePeerCandidates fans metros out over Cfg.Workers goroutines.
+// enumeratePeerCandidates fans metros out through par.For.
 // For metro m each member pair (a<b) is tested: skip Tier1s, skip pairs
 // whose lowest shared metro is not m (they are claimed elsewhere), skip
 // transit-linked pairs, then score. Pairs that would peer or share a
@@ -942,32 +935,10 @@ func (w *World) buildPeering(rng *rand.Rand) {
 // canonical (a,b) order, which makes the outcome independent of both the
 // worker count and the metro partition.
 func (w *World) enumeratePeerCandidates(footOf func(int32) asgraph.Bitset, rsOf func(int32) asgraph.Bitset, k int) []peerCand {
-	g := w.G
-	nMetros := len(g.Metros)
-	perMetro := make([][]peerCand, nMetros)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	workers := w.Cfg.Workers
-	if workers > nMetros {
-		workers = nMetros
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for m := range work {
-				perMetro[m] = w.scanMetroPairs(m, footOf, rsOf, k)
-			}
-		}()
-	}
-	for m := 0; m < nMetros; m++ {
-		work <- m
-	}
-	close(work)
-	wg.Wait()
+	perMetro := make([][]peerCand, len(w.G.Metros))
+	par.For(len(perMetro), 0, func(_, m int) {
+		perMetro[m] = w.scanMetroPairs(m, footOf, rsOf, k)
+	})
 
 	total := 0
 	for _, pc := range perMetro {

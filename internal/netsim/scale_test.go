@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"metascritic/internal/benchscale"
@@ -59,14 +60,16 @@ func TestGenerateManyMetros(t *testing.T) {
 // TestGenerateWorkerInvariance pins the determinism contract of the
 // parallel peering build: the same seed must yield a byte-identical
 // world (full fingerprint, including adjacency insertion order) at any
-// worker count.
+// worker count. Not parallel: it sets GOMAXPROCS, which sizes the par.For
+// pool.
 func TestGenerateWorkerInvariance(t *testing.T) {
 	cfg := manyMetroConfig(70, 20)
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
 	var want uint64
 	for i, workers := range []int{1, 2, 7, 16} {
-		c := cfg
-		c.Workers = workers
-		got := fingerprint(Generate(c))
+		runtime.GOMAXPROCS(workers)
+		got := fingerprint(Generate(cfg))
 		if i == 0 {
 			want = got
 			continue

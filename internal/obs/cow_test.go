@@ -2,7 +2,7 @@ package obs
 
 // Copy-on-write snapshot tests: Clone must be O(1) allocations, and
 // interleaved (or fully concurrent — exercised under -race via `make
-// race-obs`) mutation of a base store and its snapshots must never leak
+// check`) mutation of a base store and its snapshots must never leak
 // evidence in either direction. Isolation is checked against reference
 // stores built from scratch over each side's exact trace sequence.
 
@@ -89,7 +89,7 @@ func TestSnapshotIsolationInterleaved(t *testing.T) {
 
 // TestSnapshotIsolationConcurrent mutates a base store and two snapshots
 // from separate goroutines. Divergent post-clone mutation is the engine's
-// usage pattern; under `make race-obs` the race detector checks that lazy
+// usage pattern; under `make check` the race detector checks that lazy
 // copy-on-write never writes a structure another store still reads.
 func TestSnapshotIsolationConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))

@@ -10,7 +10,6 @@
 package traceroute
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -80,22 +79,6 @@ func NewEngine(w *netsim.World) *Engine {
 		Cache:       bgp.NewRouteCache(bgp.FromGraph(w.G)),
 		HopLossRate: 0.1,
 	}
-}
-
-// PrefetchRoutes warms the engine's route cache for the distinct,
-// not-yet-cached destinations in dests, computing propagations on up to
-// workers concurrent goroutines (the cache's batched fan-out, one pooled
-// propagation scratch per worker). It is the batch-level warm-up of the
-// speculative measurement pipeline: a fan-out whose destinations are
-// already cached never serializes on singleflight propagation. Prefetching
-// issues no traceroutes (the Issued counter is untouched) and returns the
-// number of destinations actually warmed. A nil ctx is treated as
-// non-cancellable.
-func (e *Engine) PrefetchRoutes(ctx context.Context, dests []int, workers int) int {
-	if workers < 1 {
-		workers = 1
-	}
-	return e.Cache.Warm(ctx, dests, workers)
 }
 
 // Run issues one traceroute from a probe in vpAS at vpMetro toward an

@@ -2,7 +2,7 @@ package metascritic
 
 // Speculative measurement pipeline: the per-metro loop issues its selected
 // traceroute batches through runPlan, which fans the (pure, hash-based)
-// traceroute simulations of one batch out across a bounded worker pool and
+// traceroute simulations of one batch out through par.For and
 // then commits the resulting traces into the observation store, the
 // selector statistics and the calibration log in the batch's original
 // order. Because every mutation (obs.Store.AddTrace, probe.Selector.Report,
@@ -27,11 +27,10 @@ package metascritic
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"metascritic/internal/obs"
+	"metascritic/internal/par"
 	"metascritic/internal/probe"
 	"metascritic/internal/traceroute"
 )
@@ -143,34 +142,29 @@ func (p *Pipeline) runPlan(ctx context.Context, workers int, batch []probe.Measu
 	for _, m := range batch[:window] {
 		dests = append(dests, m.Target.AS)
 	}
-	st.PrefetchedRoutes += p.Engine.PrefetchRoutes(ctx, dests, workers)
+	st.PrefetchedRoutes += p.Engine.Cache.Warm(ctx, dests, workers)
 
+	// done[i] closes once item i is settled: traced (ran[i]) or passed
+	// over because ctx was cancelled first. Every index settles, so the
+	// committer never waits on an item the pool skipped.
 	traces := make([]traceroute.Trace, window)
+	ran := make([]bool, window)
 	done := make([]chan struct{}, window)
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	nw := workers
-	if nw > window {
-		nw = window
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= window || ctx.Err() != nil {
-					return
-				}
+	fanned := make(chan struct{})
+	go func() {
+		defer close(fanned)
+		par.For(window, workers, func(_, i int) {
+			if ctx.Err() == nil {
 				m := batch[i]
 				traces[i] = p.Engine.RunTarget(m.VP.AS, m.VP.Metro, m.Target.AS, m.Target.Metro)
-				close(done[i])
+				ran[i] = true
 			}
-		}()
-	}
+			close(done[i])
+		})
+	}()
 
 	// Ordered commit: every store/selector/calibration mutation happens
 	// here, on one goroutine, in batch order.
@@ -179,11 +173,8 @@ func (p *Pipeline) runPlan(ctx context.Context, workers int, batch []probe.Measu
 		if *budget <= 0 || ctx.Err() != nil {
 			break
 		}
-		select {
-		case <-done[i]:
-		case <-ctx.Done():
-		}
-		if ctx.Err() != nil {
+		<-done[i]
+		if !ran[i] || ctx.Err() != nil {
 			break
 		}
 		*budget--
@@ -191,17 +182,14 @@ func (p *Pipeline) runPlan(ctx context.Context, workers int, batch []probe.Measu
 		committed++
 		commit(batch[i], p.Store.AddTrace(traces[i]))
 	}
-	wg.Wait()
+	<-fanned
 
-	// Account for speculative traces that completed but were not committed
-	// (cancellation landed mid-window). done[i] is closed exactly when
-	// traces[i] ran.
+	// Account for speculative traces that ran but were not committed
+	// (cancellation landed mid-window).
 	launched := 0
-	for _, ch := range done {
-		select {
-		case <-ch:
+	for _, r := range ran {
+		if r {
 			launched++
-		default:
 		}
 	}
 	st.Launched += launched

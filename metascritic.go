@@ -17,9 +17,9 @@
 package metascritic
 
 import (
+	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
@@ -331,7 +331,7 @@ func (p *Pipeline) SeedPublicMeasurements(perProbe int, rng *rand.Rand) int {
 			dests = append(dests, dst)
 		}
 	}
-	p.Engine.PrefetchRoutes(nil, dests, runtime.GOMAXPROCS(0))
+	p.Engine.Cache.Warm(context.Background(), dests, 0)
 	for _, t := range plan {
 		p.Store.AddTrace(p.Engine.Run(t.as, t.metro, t.dst))
 	}

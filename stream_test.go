@@ -44,7 +44,7 @@ func TestApplyEvolutionMirrorsWorld(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p.SeedPublicMeasurements(4, rng) // warm the route cache with real traffic
 
-	spec := netsim.EvolveSpec{LinkDowns: 12, Depeerings: 4, LinkUps: 12, NewASes: 3, IXPJoins: 4, Workers: 3}
+	spec := netsim.EvolveSpec{LinkDowns: 12, Depeerings: 4, LinkUps: 12, NewASes: 3, IXPJoins: 4}
 	hitlistBefore := len(p.Hitlist)
 	for epoch := uint32(1); epoch <= 3; epoch++ {
 		batch, st, err := p.Evolve(rng, spec)
@@ -81,7 +81,7 @@ func TestApplyEvolutionScopedInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p.SeedPublicMeasurements(6, rng)
 
-	spec := netsim.EvolveSpec{LinkDowns: 6, Depeerings: 2, LinkUps: 6, Workers: 2}
+	spec := netsim.EvolveSpec{LinkDowns: 6, Depeerings: 2, LinkUps: 6}
 	_, st, err := p.Evolve(rng, spec)
 	if err != nil {
 		t.Fatalf("Evolve: %v", err)
@@ -122,7 +122,7 @@ func TestRescoreMatchesColdRerun(t *testing.T) {
 
 	// Churn without arrivals so prev's factors stay dimensionally
 	// compatible and the warm path is exercised.
-	spec := netsim.EvolveSpec{LinkDowns: 10, Depeerings: 3, LinkUps: 10, IXPJoins: 3, Workers: 2}
+	spec := netsim.EvolveSpec{LinkDowns: 10, Depeerings: 3, LinkUps: 10, IXPJoins: 3}
 	if _, _, err := p.Evolve(rng, spec); err != nil {
 		t.Fatalf("Evolve: %v", err)
 	}
@@ -215,7 +215,7 @@ func TestRescorePrunedMetro(t *testing.T) {
 		t.Fatalf("Run kept %d members, want the cap %d", len(prev.Members), cfg.MaxMetroMembers)
 	}
 
-	spec := netsim.EvolveSpec{LinkDowns: 10, Depeerings: 3, LinkUps: 10, IXPJoins: 3, Workers: 2}
+	spec := netsim.EvolveSpec{LinkDowns: 10, Depeerings: 3, LinkUps: 10, IXPJoins: 3}
 	if _, _, err := p.Evolve(rng, spec); err != nil {
 		t.Fatalf("Evolve: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestRescoreAfterArrivalFallsBackCold(t *testing.T) {
 	prev := mustRun(t, p, metro, cfg)
 
 	before := len(w.G.Metros[metro].Members)
-	spec := netsim.EvolveSpec{NewASes: 25, Workers: 2}
+	spec := netsim.EvolveSpec{NewASes: 25}
 	for w.Epoch < 8 && len(w.G.Metros[metro].Members) == before {
 		if _, _, err := p.Evolve(rng, spec); err != nil {
 			t.Fatalf("Evolve: %v", err)
