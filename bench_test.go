@@ -16,15 +16,15 @@ import (
 	"sync"
 	"testing"
 
-	"metascritic/experiments"
+	"metascritic/internal/eval"
 )
 
 var (
 	benchOnce sync.Once
-	benchH    *experiments.Harness
+	benchH    *eval.Harness
 )
 
-func benchHarness(b *testing.B) *experiments.Harness {
+func benchHarness(b *testing.B) *eval.Harness {
 	b.Helper()
 	benchOnce.Do(func() {
 		scale := 0.15
@@ -33,7 +33,7 @@ func benchHarness(b *testing.B) *experiments.Harness {
 				scale = v
 			}
 		}
-		benchH = experiments.NewHarness(experiments.Options{
+		benchH = eval.NewHarness(eval.Options{
 			Scale:  scale,
 			Seed:   1,
 			Budget: int(40000 * scale),
@@ -49,7 +49,7 @@ func BenchmarkFig1_FeatureCorrelations(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.Fig1(h)
+		rows, tbl := eval.Fig1(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			var cloud, t1 float64
@@ -69,7 +69,7 @@ func BenchmarkFig3_PrecisionRecall(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.Fig3(h)
+		rows, tbl := eval.Fig3(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			var auprc float64
@@ -85,7 +85,7 @@ func BenchmarkTable2_SelectionStrategies(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runs, tbl := experiments.Table2(h)
+		runs, tbl := eval.Table2(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			for _, r := range runs {
@@ -101,7 +101,7 @@ func BenchmarkFig4_ProbCalibration(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, tbl := experiments.Fig4(h)
+		res, tbl := eval.Fig4(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			b.ReportMetric(res.KSInformative, "KS-informative")
@@ -113,7 +113,7 @@ func BenchmarkFig5_RatingsVsCoverage(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.Fig5(h)
+		rows, tbl := eval.Fig5(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			if len(rows) == 3 {
@@ -127,7 +127,7 @@ func BenchmarkFig6_VPCoverage(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.Fig6(h)
+		rows, tbl := eval.Fig6(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			var worst float64
@@ -145,7 +145,7 @@ func BenchmarkFig7_HijackPrediction(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, tbl := experiments.Fig7(h)
+		res, tbl := eval.Fig7(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			b.ReportMetric(res.MeanBGP, "accuracy-bgp")
@@ -158,7 +158,7 @@ func BenchmarkTable3_Flattening(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.Table3(h)
+		rows, tbl := eval.Table3(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			var drop float64
@@ -178,7 +178,7 @@ func BenchmarkTable4_FullEvaluation(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.Table4(h)
+		rows, tbl := eval.Table4(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			var p, r float64
@@ -196,7 +196,7 @@ func BenchmarkFig8_ROCClassifiers(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.Fig8(h)
+		rows, tbl := eval.Fig8(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			var ms, rf, ncf float64
@@ -217,7 +217,7 @@ func BenchmarkFig9_Transferability(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, tbl := experiments.Fig9(h)
+		res, tbl := eval.Fig9(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			b.ReportMetric(res.FracAll, "all-locations-frac")
@@ -230,7 +230,7 @@ func BenchmarkFig9M_MeasuredTransferability(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, tbl := experiments.Fig9Measured(h)
+		res, tbl := eval.Fig9Measured(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			b.ReportMetric(res.FracAll, "all-locations-frac")
@@ -243,7 +243,7 @@ func BenchmarkFig10_RankRecovery(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, tbl := experiments.Fig10(h, 60, 5)
+		res, tbl := eval.Fig10(h, 60, 5)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			b.ReportMetric(float64(res.Series[0].BestRank), "recovered-rank")
@@ -256,7 +256,7 @@ func BenchmarkFig11_BatchDiscovery(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		series, tbl := experiments.Fig11(h)
+		series, tbl := eval.Fig11(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			if ms := series["metAScritic"]; len(ms) > 0 {
@@ -270,7 +270,7 @@ func BenchmarkFig12_EntriesVsAccuracy(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buckets, tbl := experiments.Fig12(h)
+		buckets, tbl := eval.Fig12(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			if len(buckets) > 0 {
@@ -284,7 +284,7 @@ func BenchmarkFig13_ShapleySummary(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		summary, _, tbl := experiments.Fig13And14(h)
+		summary, _, tbl := eval.Fig13And14(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			if len(summary) > 0 {
@@ -298,7 +298,7 @@ func BenchmarkFig14_ShapleyForce(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, force, _ := experiments.Fig13And14(h)
+		_, force, _ := eval.Fig13And14(h)
 		if i == 0 {
 			b.Log("\nFig. 14 force explanation:\n" + force)
 		}
@@ -309,7 +309,7 @@ func BenchmarkFig15_ThresholdSweep(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, tbl := experiments.Fig15(h)
+		pts, tbl := eval.Fig15(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			for _, p := range pts {
@@ -325,7 +325,7 @@ func BenchmarkTable5_ClassPairLinks(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		counts, tbl := experiments.Table5(h)
+		counts, tbl := eval.Table5(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			total := 0
@@ -341,7 +341,7 @@ func BenchmarkFig16_PerMetroLinks(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.Fig16(h)
+		rows, tbl := eval.Fig16(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			total := 0
@@ -357,7 +357,7 @@ func BenchmarkE3_Efficiency(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.E3(h)
+		rows, tbl := eval.E3(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			var ratio float64
@@ -373,7 +373,7 @@ func BenchmarkAblation_Epsilon(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.AblationEpsilon(h)
+		rows, tbl := eval.AblationEpsilon(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			for _, r := range rows {
@@ -389,7 +389,7 @@ func BenchmarkAblation_FeatureWeight(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.AblationFeatureWeight(h)
+		rows, tbl := eval.AblationFeatureWeight(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			b.ReportMetric(rows[0].ComplOutAUPRC, "comploutAUPRC-no-features")
@@ -401,7 +401,7 @@ func BenchmarkAblation_Transferability(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.AblationTransferability(h)
+		rows, tbl := eval.AblationTransferability(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			gained := 0
@@ -417,7 +417,7 @@ func BenchmarkAblation_HierarchicalPrior(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.AblationHierarchicalPrior(h)
+		rows, tbl := eval.AblationHierarchicalPrior(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			if len(rows) == 2 && rows[1].Bootstrap > 0 {
@@ -431,7 +431,7 @@ func BenchmarkE7_NonExistence(b *testing.B) {
 	h := benchHarness(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, tbl := experiments.E7(h)
+		rows, tbl := eval.E7(h)
 		if i == 0 {
 			b.Log("\n" + tbl.String())
 			for _, r := range rows {

@@ -18,10 +18,9 @@ import (
 	"syscall"
 	"time"
 
-	"metascritic/experiments"
 	"metascritic/internal/cliflags"
+	"metascritic/internal/eval"
 	"metascritic/internal/graphmetrics"
-	"metascritic/internal/report"
 )
 
 func main() {
@@ -62,7 +61,7 @@ func run() error {
 
 	fmt.Printf("generating world (scale %.2f, seed %d)...\n", *scale, *seed)
 	start := time.Now()
-	h := experiments.NewHarness(experiments.Options{
+	h := eval.NewHarness(eval.Options{
 		Scale: *scale, Seed: *seed, Budget: *budget,
 	})
 	fmt.Printf("world ready in %v: %d ASes, %d probes\n", time.Since(start).Round(time.Millisecond),
@@ -81,7 +80,7 @@ func run() error {
 	}
 
 	var firstErr error
-	show := func(id string, run func() *experiments.Table) {
+	show := func(id string, run func() *eval.Table) {
 		if !should(id) || firstErr != nil {
 			return
 		}
@@ -94,42 +93,42 @@ func run() error {
 		fmt.Println(tbl.String())
 		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(t0).Round(time.Millisecond))
 		if md != nil {
-			if err := report.Markdown(md, tbl); err != nil {
+			if err := tbl.Markdown(md); err != nil {
 				firstErr = fmt.Errorf("markdown for %s: %w", id, err)
 			}
 		}
 	}
 
-	show("Fig1", func() *experiments.Table { _, t := experiments.Fig1(h); return t })
-	show("Fig3", func() *experiments.Table { _, t := experiments.Fig3(h); return t })
-	show("Fig4", func() *experiments.Table { _, t := experiments.Fig4(h); return t })
-	show("Fig5", func() *experiments.Table { _, t := experiments.Fig5(h); return t })
-	show("Fig6", func() *experiments.Table { _, t := experiments.Fig6(h); return t })
-	show("Fig7", func() *experiments.Table { _, t := experiments.Fig7(h); return t })
-	show("Fig8", func() *experiments.Table { _, t := experiments.Fig8(h); return t })
-	show("Fig9", func() *experiments.Table { _, t := experiments.Fig9(h); return t })
-	show("Fig9M", func() *experiments.Table { _, t := experiments.Fig9Measured(h); return t })
-	show("Fig10", func() *experiments.Table { _, t := experiments.Fig10(h, 60, 5); return t })
-	show("Fig11", func() *experiments.Table { _, t := experiments.Fig11(h); return t })
-	show("Fig12", func() *experiments.Table { _, t := experiments.Fig12(h); return t })
-	show("Fig13", func() *experiments.Table {
-		_, force, t := experiments.Fig13And14(h)
+	show("Fig1", func() *eval.Table { _, t := eval.Fig1(h); return t })
+	show("Fig3", func() *eval.Table { _, t := eval.Fig3(h); return t })
+	show("Fig4", func() *eval.Table { _, t := eval.Fig4(h); return t })
+	show("Fig5", func() *eval.Table { _, t := eval.Fig5(h); return t })
+	show("Fig6", func() *eval.Table { _, t := eval.Fig6(h); return t })
+	show("Fig7", func() *eval.Table { _, t := eval.Fig7(h); return t })
+	show("Fig8", func() *eval.Table { _, t := eval.Fig8(h); return t })
+	show("Fig9", func() *eval.Table { _, t := eval.Fig9(h); return t })
+	show("Fig9M", func() *eval.Table { _, t := eval.Fig9Measured(h); return t })
+	show("Fig10", func() *eval.Table { _, t := eval.Fig10(h, 60, 5); return t })
+	show("Fig11", func() *eval.Table { _, t := eval.Fig11(h); return t })
+	show("Fig12", func() *eval.Table { _, t := eval.Fig12(h); return t })
+	show("Fig13", func() *eval.Table {
+		_, force, t := eval.Fig13And14(h)
 		fmt.Println("Fig. 14 — force explanation of the top inferred link:")
 		fmt.Println(force)
 		return t
 	})
-	show("Fig15", func() *experiments.Table { _, t := experiments.Fig15(h); return t })
-	show("Fig16", func() *experiments.Table { _, t := experiments.Fig16(h); return t })
-	show("Table2", func() *experiments.Table { _, t := experiments.Table2(h); return t })
-	show("Table3", func() *experiments.Table { _, t := experiments.Table3(h); return t })
-	show("Table4", func() *experiments.Table { _, t := experiments.Table4(h); return t })
-	show("Table5", func() *experiments.Table { _, t := experiments.Table5(h); return t })
-	show("E3", func() *experiments.Table { _, t := experiments.E3(h); return t })
-	show("E7", func() *experiments.Table { _, t := experiments.E7(h); return t })
-	show("AblEpsilon", func() *experiments.Table { _, t := experiments.AblationEpsilon(h); return t })
-	show("AblFeatures", func() *experiments.Table { _, t := experiments.AblationFeatureWeight(h); return t })
-	show("AblTransfer", func() *experiments.Table { _, t := experiments.AblationTransferability(h); return t })
-	show("AblPrior", func() *experiments.Table { _, t := experiments.AblationHierarchicalPrior(h); return t })
+	show("Fig15", func() *eval.Table { _, t := eval.Fig15(h); return t })
+	show("Fig16", func() *eval.Table { _, t := eval.Fig16(h); return t })
+	show("Table2", func() *eval.Table { _, t := eval.Table2(h); return t })
+	show("Table3", func() *eval.Table { _, t := eval.Table3(h); return t })
+	show("Table4", func() *eval.Table { _, t := eval.Table4(h); return t })
+	show("Table5", func() *eval.Table { _, t := eval.Table5(h); return t })
+	show("E3", func() *eval.Table { _, t := eval.E3(h); return t })
+	show("E7", func() *eval.Table { _, t := eval.E7(h); return t })
+	show("AblEpsilon", func() *eval.Table { _, t := eval.AblationEpsilon(h); return t })
+	show("AblFeatures", func() *eval.Table { _, t := eval.AblationFeatureWeight(h); return t })
+	show("AblTransfer", func() *eval.Table { _, t := eval.AblationTransferability(h); return t })
+	show("AblPrior", func() *eval.Table { _, t := eval.AblationHierarchicalPrior(h); return t })
 
 	if firstErr != nil {
 		return firstErr

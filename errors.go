@@ -10,7 +10,7 @@ import "errors"
 //	switch {
 //	case errors.Is(err, metascritic.ErrInvalidConfig):   // reject: caller bug
 //	case errors.Is(err, metascritic.ErrCanceled):        // aborted: retryable
-//	case errors.Is(err, metascritic.ErrBudgetExhausted): // raise the budget
+//	case errors.Is(err, metascritic.ErrBudgetExhausted): // serving layer: lower the budget
 //	}
 var (
 	// ErrInvalidConfig is wrapped by every validation failure, so callers
@@ -22,9 +22,7 @@ var (
 	// context.DeadlineExceeded), so errors.Is matches either form.
 	ErrCanceled = errors.New("run canceled")
 
-	// ErrBudgetExhausted is wrapped when a measurement budget is too small
-	// for the work it must cover: a strict-budget run (Config.StrictBudget)
-	// whose budget ran dry before the bootstrap calibration completed, or a
-	// serving-layer run submission exceeding the server's budget cap.
+	// ErrBudgetExhausted is wrapped when a serving-layer run submission
+	// exceeds the server's measurement budget cap.
 	ErrBudgetExhausted = errors.New("measurement budget exhausted")
 )

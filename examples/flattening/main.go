@@ -8,18 +8,18 @@ package main
 import (
 	"fmt"
 
-	"metascritic/experiments"
+	"metascritic/internal/eval"
 )
 
 func main() {
-	h := experiments.NewHarness(experiments.Options{
+	h := eval.NewHarness(eval.Options{
 		Scale:  0.15,
 		Seed:   11,
 		Budget: 4000,
 	})
 	fmt.Printf("world: %d ASes; computing flattening metrics per metro...\n\n", h.W.G.N())
 
-	rows, tbl := experiments.Table3(h)
+	rows, tbl := eval.Table3(h)
 	fmt.Println(tbl.String())
 
 	// Aggregate the headline numbers.

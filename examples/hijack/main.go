@@ -9,18 +9,18 @@ package main
 import (
 	"fmt"
 
-	"metascritic/experiments"
+	"metascritic/internal/eval"
 )
 
 func main() {
-	h := experiments.NewHarness(experiments.Options{
+	h := eval.NewHarness(eval.Options{
 		Scale:  0.15,
 		Seed:   7,
 		Budget: 4000,
 	})
 	fmt.Printf("world: %d ASes; running metAScritic on the six study metros...\n", h.W.G.N())
 
-	res, tbl := experiments.Fig7(h)
+	res, tbl := eval.Fig7(h)
 	fmt.Println()
 	fmt.Println(tbl.String())
 

@@ -18,7 +18,7 @@ import (
 // Reuse contract: a Problem snapshots the mask (row layout) and feature
 // normalization at construction but reads E lazily at solve time through
 // stored values — so it is invalidated by ANY mutation of the mask (Set/
-// Unset/CopyFrom) or of E's observed entries after construction; rebuild
+// Unset/Reset) or of E's observed entries after construction; rebuild
 // with NewProblem after targeted measurements land. Holdout draws must NOT
 // mutate the mask: express them as a mat.Overlay and pass it to Complete/
 // CompleteFactors, which applies the removals as per-row deltas.
@@ -81,9 +81,6 @@ func NewProblem(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix) *Problem {
 	}
 	return p
 }
-
-// N returns the AS block dimension.
-func (p *Problem) N() int { return p.n }
 
 // Factors holds the ALS factor matrices of a completed run, returned so a
 // subsequent solve at the same or a nearby rank can warm-start from them

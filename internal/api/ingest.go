@@ -28,7 +28,7 @@ import (
 
 // ingestRequest is the POST /v1/ingest body. The event counts are
 // targets, clamped to the world's candidate pools (netsim.EvolveSpec);
-// at least one must be positive.
+// each is at most maxEventsPerKind and at least one must be positive.
 type ingestRequest struct {
 	// Seed drives the evolution draw and the post-churn trace sample.
 	// Equal worlds + equal ingest sequences give byte-identical states.
@@ -49,6 +49,12 @@ type ingestRequest struct {
 // hours or panic mid-ingest, leaving the world an epoch ahead of the
 // served State.
 const maxTracesPerProbe = 64
+
+// maxEventsPerKind caps each event count. Link events are clamped to the
+// world's candidate pools, but AS arrivals and IXP joins are drawn one by
+// one under the write lock: an unbounded count would hold the lock while
+// the batch grows until the process runs out of memory.
+const maxEventsPerKind = 1024
 
 // ingestResponse reports what absorbing the batch did.
 type ingestResponse struct {
@@ -78,8 +84,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, c := range []int{req.LinkDowns, req.Depeerings, req.LinkUps, req.NewASes, req.IXPJoins} {
-		if c < 0 {
-			writeError(w, http.StatusBadRequest, "event counts must be non-negative")
+		if c < 0 || c > maxEventsPerKind {
+			writeError(w, http.StatusBadRequest, "event counts must be in [0, %d]", maxEventsPerKind)
 			return
 		}
 	}

@@ -182,6 +182,7 @@ func TestIngestValidation(t *testing.T) {
 		`{"surprise": 1}`:    http.StatusBadRequest, // unknown field
 		`{}`:                 http.StatusBadRequest, // empty spec
 		`{"link_downs": -1}`: http.StatusBadRequest, // negative count
+		`{"new_ases": 1025}`: http.StatusBadRequest, // above maxEventsPerKind
 		`{"link_ups": 1, "traces_per_probe": -2}`:                  http.StatusBadRequest,
 		`{"link_ups": 1, "traces_per_probe": 4611686018427387904}`: http.StatusBadRequest, // would panic after Evolve
 	} {

@@ -152,10 +152,6 @@ func (a *AS) SetRouteServer(ix int, on bool) {
 // server.
 func (a *AS) OnRouteServer(ix int) bool { return a.rs.Has(ix) }
 
-// RouteServerSet exposes the route-server membership bitset (may be nil).
-// Callers must not mutate it.
-func (a *AS) RouteServerSet() Bitset { return a.rs }
-
 // AddIXP appends IXP ix to the AS's membership list and bitset.
 func (a *AS) AddIXP(ix int) {
 	a.IXPs = append(a.IXPs, ix)
@@ -479,18 +475,6 @@ func (g *Graph) ScopeOfMetros(a, b int) GeoScope {
 	return Elsewhere
 }
 
-// ScopeOfASToMetro returns the closest geographic scope between any metro in
-// the footprint of AS i and metro m.
-func (g *Graph) ScopeOfASToMetro(i, m int) GeoScope {
-	best := Elsewhere
-	for _, mm := range g.ASes[i].Metros {
-		if s := g.ScopeOfMetros(mm, m); s < best {
-			best = s
-		}
-	}
-	return best
-}
-
 // MetroOfName returns the metro with the given name, or nil.
 func (g *Graph) MetroOfName(name string) *Metro {
 	for _, m := range g.Metros {
@@ -510,15 +494,6 @@ func (g *Graph) SharedMetros(a, b int) []int {
 		return fa.AppendCommon(fb, nil)
 	}
 	return sharedSorted(g.ASes[a].Metros, g.ASes[b].Metros)
-}
-
-// Colocated reports whether the two ASes share at least one metro.
-func (g *Graph) Colocated(a, b int) bool {
-	fa, fb := g.ASes[a].foot, g.ASes[b].foot
-	if fa != nil && fb != nil {
-		return fa.Intersects(fb)
-	}
-	return len(sharedSorted(g.ASes[a].Metros, g.ASes[b].Metros)) > 0
 }
 
 // SharedIXPs returns the sorted IXP indices both ASes are members of.

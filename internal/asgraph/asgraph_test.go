@@ -153,22 +153,6 @@ func TestGeoScopes(t *testing.T) {
 	}
 }
 
-func TestScopeOfASToMetro(t *testing.T) {
-	g := tinyGraph()
-	// AS 4 only in NYC (metro 2); to Sydney (3) that's Elsewhere.
-	if got := g.ScopeOfASToMetro(4, 3); got != Elsewhere {
-		t.Fatalf("scope = %v", got)
-	}
-	// AS 0 is in every metro.
-	if got := g.ScopeOfASToMetro(0, 3); got != SameMetro {
-		t.Fatalf("scope = %v", got)
-	}
-	// AS 2 in metros {0,1} (both NL); to metro 1 it is SameMetro.
-	if got := g.ScopeOfASToMetro(2, 1); got != SameMetro {
-		t.Fatalf("scope = %v", got)
-	}
-}
-
 func TestSharedMetrosAndHasMetro(t *testing.T) {
 	g := tinyGraph()
 	sm := g.SharedMetros(1, 5) // {0,2} ∩ {0,2} = {0,2}

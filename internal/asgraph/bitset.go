@@ -7,10 +7,6 @@ import "math/bits"
 // on demand. Word layout is little-endian: bit i lives in word i/64.
 type Bitset []uint64
 
-// NewBitset returns a bitset able to hold values in [0, n) without
-// growing.
-func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
-
 // BitsetWords returns the number of words needed for values in [0, n).
 func BitsetWords(n int) int { return (n + 63) / 64 }
 
@@ -86,13 +82,4 @@ func (b Bitset) CommonCount(o Bitset) int {
 		c += bits.OnesCount64(b[i] & o[i])
 	}
 	return c
-}
-
-// Count returns the number of set bits.
-func (b Bitset) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

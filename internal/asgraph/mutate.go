@@ -50,21 +50,6 @@ func (g *Graph) RemovePeer(a, b int) bool {
 	return true
 }
 
-// RemoveC2P deletes the transit relationship where customer buys from
-// provider, invalidating the customer-cone cache. It reports whether the
-// relationship existed.
-func (g *Graph) RemoveC2P(customer, provider int) bool {
-	lp, okp := removeInt32(g.Providers[customer], int32(provider))
-	lc, okc := removeInt32(g.Customers[provider], int32(customer))
-	if !okp || !okc {
-		return okp || okc
-	}
-	g.Providers[customer], g.Customers[provider] = lp, lc
-	g.mutations++
-	g.invalidateCones()
-	return true
-}
-
 // removeInt32 deletes the first occurrence of v from xs in place,
 // preserving the order of the remaining elements, and reports whether v
 // was present.

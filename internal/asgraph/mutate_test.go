@@ -68,25 +68,6 @@ func removeVal(xs []int32, v int32) []int32 {
 	return out
 }
 
-func TestRemoveC2PInvalidatesCones(t *testing.T) {
-	g := buildTestGraph()
-	if got := g.ConeSize(0); got != 3 {
-		t.Fatalf("cone(0) = %d, want 3 (0,1,2)", got)
-	}
-	if !g.RemoveC2P(2, 1) {
-		t.Fatal("RemoveC2P(2,1) found no relationship")
-	}
-	if g.HasProvider(2, 1) {
-		t.Fatal("provider link survived removal")
-	}
-	if got := g.ConeSize(0); got != 2 {
-		t.Fatalf("cone(0) after depeering = %d, want 2 (stale cone cache?)", got)
-	}
-	if g.RemoveC2P(2, 1) {
-		t.Fatal("second RemoveC2P(2,1) reported a removal")
-	}
-}
-
 func TestMaybeCompactThreshold(t *testing.T) {
 	g := buildTestGraph() // Compact reset the counter
 	if g.Mutations() != 0 {

@@ -129,47 +129,6 @@ func (t *Topology) AddP2P(a, b int) {
 	t.peers[b] = append(t.peers[b], int32(a))
 }
 
-// Clone returns a deep copy that can be extended independently (used to
-// derive the +measured and +inferred prediction topologies). Each relation
-// is copied into one exactly sized backing array; the per-AS slices are
-// capacity-clamped so appends on the clone reallocate instead of
-// clobbering a neighbor's adjacency.
-func (t *Topology) Clone() *Topology {
-	return &Topology{
-		n:         t.n,
-		providers: cloneAdj(t.providers),
-		customers: cloneAdj(t.customers),
-		peers:     cloneAdj(t.peers),
-	}
-}
-
-func cloneAdj(adj [][]int32) [][]int32 {
-	total := 0
-	for _, s := range adj {
-		total += len(s)
-	}
-	backing := make([]int32, 0, total)
-	out := make([][]int32, len(adj))
-	for i, s := range adj {
-		if len(s) == 0 {
-			continue
-		}
-		off := len(backing)
-		backing = append(backing, s...)
-		out[i] = backing[off:len(backing):len(backing)]
-	}
-	return out
-}
-
-// NumP2P returns the number of distinct peering links.
-func (t *Topology) NumP2P() int {
-	total := 0
-	for _, ps := range t.peers {
-		total += len(ps)
-	}
-	return total / 2
-}
-
 // RouteClass orders routes by Gao-Rexford preference.
 type RouteClass int8
 
@@ -181,21 +140,6 @@ const (
 	ClassCustomer
 	ClassOwn // the AS originates the prefix
 )
-
-func (c RouteClass) String() string {
-	switch c {
-	case ClassOwn:
-		return "own"
-	case ClassCustomer:
-		return "customer"
-	case ClassPeer:
-		return "peer"
-	case ClassProvider:
-		return "provider"
-	default:
-		return "none"
-	}
-}
 
 // Route is the selected best route of one AS toward the propagated prefix.
 type Route struct {

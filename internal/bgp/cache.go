@@ -143,9 +143,6 @@ func (c *RouteCache) SetBudget(budget int64) {
 	}
 }
 
-// Budget returns the configured byte budget (0 = unbounded).
-func (c *RouteCache) Budget() int64 { return c.budget.Load() }
-
 // shardBudget is one shard's share of the total budget, rounded up.
 func (c *RouteCache) shardBudget() int64 {
 	b := c.budget.Load()
@@ -402,54 +399,4 @@ func VisibleLinks(cache *RouteCache, monitors []int, dests []int) map[asgraph.Pa
 		}
 	}
 	return visible
-}
-
-// LookingGlass returns one AS's full routing view toward the given
-// destinations: the AS-level paths its selected best routes follow. This
-// is the per-operator view the paper queries from public Looking Glass
-// servers (§4.1, Appx. H).
-func LookingGlass(cache *RouteCache, as int, dests []int) map[int][]int {
-	out := make(map[int][]int, len(dests))
-	for _, d := range dests {
-		if p := cache.RoutesTo(d).PathFrom(as); p != nil {
-			out[d] = p
-		}
-	}
-	return out
-}
-
-// FlatteningMetrics summarizes the best-path structure from a set of source
-// ASes toward a set of destinations: the mean AS-path length and the
-// fraction of routes whose selected class at the source is Provider (the
-// source must buy transit to reach the destination).
-type FlatteningMetrics struct {
-	MeanPathLen  float64
-	ProviderFrac float64
-	Reachable    int
-}
-
-// Flattening computes FlatteningMetrics over the given sources and
-// destinations (skipping src == dst and unreachable pairs).
-func Flattening(cache *RouteCache, sources, dests []int) FlatteningMetrics {
-	var m FlatteningMetrics
-	var lenSum float64
-	provider := 0
-	for _, d := range dests {
-		routes := cache.RoutesTo(d)
-		for _, s := range sources {
-			if s == d || !routes.Reachable(s) {
-				continue
-			}
-			m.Reachable++
-			lenSum += float64(routes.PathLen(s))
-			if routes.Class(s) == ClassProvider {
-				provider++
-			}
-		}
-	}
-	if m.Reachable > 0 {
-		m.MeanPathLen = lenSum / float64(m.Reachable)
-		m.ProviderFrac = float64(provider) / float64(m.Reachable)
-	}
-	return m
 }

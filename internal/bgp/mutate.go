@@ -26,18 +26,6 @@ func (t *Topology) RemoveP2P(a, b int) bool {
 	return true
 }
 
-// RemoveC2P deletes the transit relationship where customer buys from
-// provider and reports whether it existed.
-func (t *Topology) RemoveC2P(customer, provider int) bool {
-	lp, okp := removeAdj(t.providers[customer], int32(provider))
-	lc, okc := removeAdj(t.customers[provider], int32(customer))
-	if !okp || !okc {
-		return okp || okc
-	}
-	t.providers[customer], t.customers[provider] = lp, lc
-	return true
-}
-
 // Grow extends the topology to n ASes with empty adjacency (new-AS
 // arrivals). It is a no-op when the topology is already that large.
 func (t *Topology) Grow(n int) {
@@ -173,7 +161,3 @@ func (c *RouteCache) InvalidateAll() int {
 	c.invalidated.Add(int64(dropped))
 	return dropped
 }
-
-// Epoch returns the number of invalidation passes the cache has
-// absorbed; cached views are valid for the epoch they were computed in.
-func (c *RouteCache) Epoch() uint32 { return c.epoch.Load() }

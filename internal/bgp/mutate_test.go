@@ -157,22 +157,3 @@ func TestInvalidateAllAfterGrow(t *testing.T) {
 		t.Fatalf("stats = %+v, want Epoch=1 Invalidated=3", st)
 	}
 }
-
-func TestRemoveC2PTopology(t *testing.T) {
-	topo := NewTopology(3)
-	topo.AddC2P(1, 0)
-	topo.AddC2P(2, 1)
-	if !topo.RemoveC2P(2, 1) {
-		t.Fatal("RemoveC2P found no relationship")
-	}
-	if topo.RemoveC2P(2, 1) {
-		t.Fatal("second RemoveC2P reported a removal")
-	}
-	r := NewRouteCache(topo).RoutesTo(0)
-	if r.Reachable(2) {
-		t.Fatal("AS 2 still reaches 0 after losing its provider")
-	}
-	if !r.Reachable(1) {
-		t.Fatal("AS 1 lost its provider route collaterally")
-	}
-}

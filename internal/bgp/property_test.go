@@ -174,23 +174,3 @@ func TestHijackSeedsCarryFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestLookingGlass(t *testing.T) {
-	top := chainTopology()
-	cache := NewRouteCache(top)
-	view := LookingGlass(cache, 4, []int{0, 5, 6})
-	if len(view) != 3 {
-		t.Fatalf("LG view size %d", len(view))
-	}
-	for d, p := range view {
-		if p[0] != 4 || p[len(p)-1] != d {
-			t.Fatalf("LG path endpoints wrong: %v -> %d", p, d)
-		}
-	}
-	// Unreachable destinations are absent.
-	iso := NewTopology(3)
-	cache2 := NewRouteCache(iso)
-	if v := LookingGlass(cache2, 0, []int{1, 2}); len(v) != 0 {
-		t.Fatalf("isolated LG should see nothing, got %v", v)
-	}
-}

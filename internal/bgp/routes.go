@@ -64,9 +64,6 @@ func (r Routes) PathLen(a int) int { return int(r.plen[a]) }
 // unreachable ASes.
 func (r Routes) NextHop(a int) int { return int(r.next[a]) }
 
-// Flags returns the union of origin flags carried by a's selected route.
-func (r Routes) Flags(a int) uint8 { return r.flags[a] }
-
 // Reachable reports whether a selected any route to the destination.
 func (r Routes) Reachable(a int) bool { return r.class[a] != uint8(ClassNone) }
 
@@ -74,16 +71,6 @@ func (r Routes) Reachable(a int) bool { return r.class[a] != uint8(ClassNone) }
 // byte accounting.
 func (r Routes) Bytes() int {
 	return 4*len(r.next) + 2*len(r.plen) + len(r.class) + len(r.flags)
-}
-
-// Expand materializes the view as a []Route slice for callers written
-// against the classic representation.
-func (r Routes) Expand() []Route {
-	out := make([]Route, r.Len())
-	for a := range out {
-		out[a] = r.At(a)
-	}
-	return out
 }
 
 // Path walks the next-hop chain from AS `from` toward the destination the

@@ -179,18 +179,6 @@ func (m *RunManager) Active() int {
 	return n
 }
 
-// Cancel aborts a run. It reports whether the ID exists; cancelling a
-// finished run is a no-op.
-func (m *RunManager) Cancel(id string) bool {
-	m.mu.Lock()
-	r, ok := m.runs[id]
-	m.mu.Unlock()
-	if ok {
-		r.cancel()
-	}
-	return ok
-}
-
 // Shutdown stops accepting submissions, waits for in-flight runs to
 // drain until ctx is done, then hard-cancels whatever is left and waits
 // for every run goroutine to exit. The error reports whether the drain

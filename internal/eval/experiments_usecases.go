@@ -239,6 +239,10 @@ type Table3Row struct {
 	// Fraction of best paths through a provider.
 	ProvBGP, ProvM, ProvInf                      float64
 	ProvBGPCountry, ProvMCountry, ProvInfCountry float64
+	// CountryCompared reports whether the country-restricted comparison
+	// ran. It is false for the Global row and for a metro with no source
+	// in its own country; the Country fields are then not measurements.
+	CountryCompared bool
 }
 
 // Table3 computes the flattening metrics for every primary metro plus a
@@ -312,6 +316,7 @@ func Table3(h *Harness) ([]Table3Row, *Table) {
 		row.ShorterM, row.ProvBGP, row.ProvM = comparePaths(topoBGP, topoM, sources, dests)
 		row.ShorterInf, _, row.ProvInf = comparePaths(topoBGP, topoInf, sources, dests)
 		if len(ctrySources) > 0 {
+			row.CountryCompared = true
 			row.ShorterMCountry, row.ProvBGPCountry, row.ProvMCountry = comparePaths(topoBGP, topoM, ctrySources, dests)
 			row.ShorterInfCountry, _, row.ProvInfCountry = comparePaths(topoBGP, topoInf, ctrySources, dests)
 		}
@@ -346,8 +351,14 @@ func Table3(h *Harness) ([]Table3Row, *Table) {
 	tbl := &Table{Title: "Table 3 — flattening: shorter paths and provider-path fractions",
 		Header: []string{"Metro", "+M shorter", "+Inf shorter", "+M shorter(ctry)", "+Inf shorter(ctry)", "BGP prov", "+M prov", "+Inf prov", "BGP prov(ctry)", "+M prov(ctry)", "+Inf prov(ctry)"}}
 	for _, r := range rows {
-		tbl.AddRow(r.Metro, F(r.ShorterM), F(r.ShorterInf), F(r.ShorterMCountry), F(r.ShorterInfCountry),
-			F(r.ProvBGP), F(r.ProvM), F(r.ProvInf), F(r.ProvBGPCountry), F(r.ProvMCountry), F(r.ProvInfCountry))
+		ctry := func(v float64) string {
+			if !r.CountryCompared {
+				return "—"
+			}
+			return F(v)
+		}
+		tbl.AddRow(r.Metro, F(r.ShorterM), F(r.ShorterInf), ctry(r.ShorterMCountry), ctry(r.ShorterInfCountry),
+			F(r.ProvBGP), F(r.ProvM), F(r.ProvInf), ctry(r.ProvBGPCountry), ctry(r.ProvMCountry), ctry(r.ProvInfCountry))
 	}
 	return rows, tbl
 }

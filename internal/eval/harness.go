@@ -7,6 +7,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -66,11 +67,6 @@ type Options struct {
 	Budget int
 	// MaxRank caps the effective-rank search.
 	MaxRank int
-}
-
-// DefaultOptions returns laptop-scale experiment settings.
-func DefaultOptions() Options {
-	return Options{Scale: 0.2, Seed: 1, PublicPerProbe: 20, Budget: 8000, MaxRank: 24}
 }
 
 // NewHarness generates the world and seeds public measurements.
@@ -137,8 +133,8 @@ func (h *Harness) Run(metro int) *metascritic.Result {
 	}
 	r, err := h.P.Run(context.Background(), metro, cfg)
 	if err != nil {
-		// The harness API predates error returns and its configs come from
-		// DefaultOptions, so a failure here is a programming error.
+		// The harness API predates error returns and its config is built
+		// by NewHarness, so a failure here is a programming error.
 		panic(fmt.Sprintf("eval: run metro %d: %v", metro, err))
 	}
 	h.results[metro] = r
@@ -195,17 +191,6 @@ const (
 	// entries are gone (simulating ASes without usable vantage points).
 	CompletelyOut
 )
-
-func (k SplitKind) String() string {
-	switch k {
-	case Stratified:
-		return "Stratified"
-	case RandomSplit:
-		return "Random"
-	default:
-		return "Completely Out"
-	}
-}
 
 // SplitEval is the outcome of evaluating a completion under a split.
 type SplitEval struct {
@@ -356,15 +341,6 @@ type Table struct {
 // AddRow appends a row.
 func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// TitleText implements report.Table.
-func (t *Table) TitleText() string { return t.Title }
-
-// HeaderRow implements report.Table.
-func (t *Table) HeaderRow() []string { return t.Header }
-
-// DataRows implements report.Table.
-func (t *Table) DataRows() [][]string { return t.Rows }
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	var b strings.Builder
@@ -396,6 +372,55 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
+}
+
+// Markdown writes the table as a GitHub-flavored markdown table with its
+// title as a heading.
+func (t *Table) Markdown(w io.Writer) error {
+	if t.Title != "" {
+		if _, err := fmt.Fprintf(w, "### %s\n\n", t.Title); err != nil {
+			return err
+		}
+	}
+	if len(t.Header) == 0 {
+		return nil
+	}
+	writeRow := func(cells []string) error {
+		var b strings.Builder
+		b.WriteByte('|')
+		for _, c := range cells {
+			b.WriteByte(' ')
+			b.WriteString(escapeCell(c))
+			b.WriteString(" |")
+		}
+		b.WriteByte('\n')
+		_, err := io.WriteString(w, b.String())
+		return err
+	}
+	if err := writeRow(t.Header); err != nil {
+		return err
+	}
+	sep := make([]string, len(t.Header))
+	for i := range sep {
+		sep[i] = "---"
+	}
+	if err := writeRow(sep); err != nil {
+		return err
+	}
+	for _, row := range t.Rows {
+		padded := make([]string, len(t.Header))
+		copy(padded, row)
+		if err := writeRow(padded); err != nil {
+			return err
+		}
+	}
+	_, err := io.WriteString(w, "\n")
+	return err
+}
+
+func escapeCell(s string) string {
+	s = strings.ReplaceAll(s, "|", "\\|")
+	return strings.ReplaceAll(s, "\n", " ")
 }
 
 // F formats a float at 3 decimals for tables.

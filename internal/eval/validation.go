@@ -9,7 +9,6 @@ import (
 	"metascritic/internal/asgraph"
 	"metascritic/internal/bgp"
 	"metascritic/internal/ipmap"
-	"metascritic/internal/netsim"
 )
 
 // ValidationSet is one external validation dataset for a metro: a set of
@@ -315,10 +314,4 @@ func InferredLinks(res *metascritic.Result, thr float64) []asgraph.Pair {
 		}
 	}
 	return out
-}
-
-// worldTruthHas reports whether a pair interconnects anywhere.
-func worldTruthHas(w *netsim.World, pr asgraph.Pair) bool {
-	_, ok := w.RelOf(pr.A, pr.B)
-	return ok
 }

@@ -9,7 +9,6 @@ package explain
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -200,38 +199,6 @@ func (s *Surrogate) Shapley(x []float64) []float64 {
 		out[k] = w * (x[k] - s.Means[k])
 	}
 	return out
-}
-
-// SamplingShapley estimates Shapley values for an arbitrary predictor f by
-// permutation sampling with a background point: for each sampled
-// permutation, features are switched from background to x one at a time
-// and the marginal change in f is credited to the switched feature.
-func SamplingShapley(f func([]float64) float64, x, background []float64, samples int, rng *rand.Rand) []float64 {
-	d := len(x)
-	phi := make([]float64, d)
-	if samples < 1 {
-		samples = 1
-	}
-	cur := make([]float64, d)
-	perm := make([]int, d)
-	for i := range perm {
-		perm[i] = i
-	}
-	for s := 0; s < samples; s++ {
-		rng.Shuffle(d, func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		copy(cur, background)
-		prev := f(cur)
-		for _, k := range perm {
-			cur[k] = x[k]
-			next := f(cur)
-			phi[k] += next - prev
-			prev = next
-		}
-	}
-	for k := range phi {
-		phi[k] /= float64(samples)
-	}
-	return phi
 }
 
 // Attribution pairs a feature with its Shapley value.

@@ -66,41 +66,6 @@ func TestLinearShapleyEfficiency(t *testing.T) {
 	}
 }
 
-func TestSamplingShapleyMatchesLinear(t *testing.T) {
-	// For a linear model, sampling Shapley converges to the exact values.
-	rng := rand.New(rand.NewSource(3))
-	w := []float64{1, -2, 3}
-	f := func(x []float64) float64 {
-		v := 0.0
-		for k := range w {
-			v += w[k] * x[k]
-		}
-		return v
-	}
-	x := []float64{1, 1, 1}
-	bg := []float64{0, 0, 0}
-	phi := SamplingShapley(f, x, bg, 50, rng)
-	for k := range w {
-		if !feq(phi[k], w[k], 1e-9) { // exact for additive models, any sample count
-			t.Fatalf("phi = %v, want %v", phi, w)
-		}
-	}
-}
-
-func TestSamplingShapleyInteraction(t *testing.T) {
-	// f = x0*x1: symmetric interaction must split evenly.
-	rng := rand.New(rand.NewSource(4))
-	f := func(x []float64) float64 { return x[0] * x[1] }
-	phi := SamplingShapley(f, []float64{1, 1}, []float64{0, 0}, 500, rng)
-	if !feq(phi[0], 0.5, 0.1) || !feq(phi[1], 0.5, 0.1) {
-		t.Fatalf("interaction split %v, want ~[0.5 0.5]", phi)
-	}
-	sum := phi[0] + phi[1]
-	if !feq(sum, 1, 1e-9) {
-		t.Fatalf("efficiency: sum %v", sum)
-	}
-}
-
 func TestForceAndSummary(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	x := []float64{1, 2, 3}

@@ -19,8 +19,6 @@ import (
 type Database struct {
 	// footprints[as] = sorted metros the AS reports presence at.
 	footprints map[int][]int
-	// members[metro] = sorted ASes reporting presence there.
-	members map[int][]int
 }
 
 // Build derives the public database from a world: every true presence is
@@ -28,10 +26,7 @@ type Database struct {
 // (AS, metro) so repeated builds agree. Hypergiants and large ISPs report
 // diligently (PeeringDB hygiene); stubs and enterprises under-report.
 func Build(w *netsim.World, missRate float64) *Database {
-	db := &Database{
-		footprints: map[int][]int{},
-		members:    map[int][]int{},
-	}
+	db := &Database{footprints: map[int][]int{}}
 	for _, a := range w.G.ASes {
 		miss := missRate
 		switch a.Class {
@@ -49,14 +44,10 @@ func Build(w *netsim.World, missRate float64) *Database {
 				continue // unreported presence
 			}
 			db.footprints[a.Index] = append(db.footprints[a.Index], m)
-			db.members[m] = append(db.members[m], a.Index)
 		}
 	}
 	for as := range db.footprints {
 		sort.Ints(db.footprints[as])
-	}
-	for m := range db.members {
-		sort.Ints(db.members[m])
 	}
 	return db
 }
@@ -65,11 +56,6 @@ func Build(w *netsim.World, missRate float64) *Database {
 // the AS reports nothing).
 func (db *Database) Footprint(as int) []int {
 	return db.footprints[as]
-}
-
-// Members returns the ASes reporting presence at a metro (sorted).
-func (db *Database) Members(metro int) []int {
-	return db.members[metro]
 }
 
 // Colocated returns the metros where both ASes report presence.
@@ -98,18 +84,4 @@ func (db *Database) Colocated(a, b int) []int {
 func (db *Database) OnlyColocatedAt(a, b, metro int) bool {
 	co := db.Colocated(a, b)
 	return len(co) == 1 && co[0] == metro
-}
-
-// Coverage returns the fraction of true presences the database captured
-// (a diagnostic, computed against the world's ground truth).
-func Coverage(db *Database, w *netsim.World) float64 {
-	reported, total := 0, 0
-	for _, a := range w.G.ASes {
-		total += len(a.Metros)
-		reported += len(db.footprints[a.Index])
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(reported) / float64(total)
 }

@@ -11,7 +11,7 @@ func randomSPD(n int, seed int64) *Matrix {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	return AddMat(Mul(b.T(), b), Identity(n))
+	return spd(b)
 }
 
 func BenchmarkCholeskySolve(b *testing.B) {

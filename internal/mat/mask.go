@@ -104,7 +104,7 @@ func (m *Mask) RowEntries(i int) []int {
 
 // RowView returns the sorted observed column indices of row i as a
 // zero-copy view into the mask's internal storage. The view must be
-// treated as read-only and is invalidated by the next Set/Unset/CopyFrom
+// treated as read-only and is invalidated by the next Set/Unset/Reset
 // on the mask.
 func (m *Mask) RowView(i int) []int32 { return m.rows[i] }
 
@@ -145,16 +145,6 @@ func (m *Mask) Clone() *Mask {
 		}
 	}
 	return c
-}
-
-// CopyFrom replaces this mask's contents with other's (same dimension).
-func (m *Mask) CopyFrom(other *Mask) {
-	if m.n != other.n {
-		panic("mat: CopyFrom dimension mismatch")
-	}
-	for i, r := range other.rows {
-		m.rows[i] = append(m.rows[i][:0], r...)
-	}
 }
 
 // Entries calls fn for every observed entry with i <= j exactly once, in

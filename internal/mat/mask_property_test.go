@@ -98,8 +98,8 @@ func sameAsRef(t *testing.T, op string, m *Mask, ref *refMask) {
 
 // TestMaskPropertyVsReference drives the CSR mask and the seed map
 // implementation through the same random operation stream — Set, Unset,
-// Clone, CopyFrom, and overlay draws — and checks full observable
-// equivalence after every mutation.
+// Clone and overlay draws — and checks full observable equivalence after
+// every mutation.
 func TestMaskPropertyVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 30; trial++ {
@@ -117,18 +117,13 @@ func TestMaskPropertyVsReference(t *testing.T) {
 				m.Unset(i, j)
 				ref.unset(i, j)
 				sameAsRef(t, "Unset", m, ref)
-			case op < 9: // Clone must deep-copy; mutate the clone only
+			default: // Clone must deep-copy; mutate the clone only
 				c := m.Clone()
 				refc := ref.clone()
 				c.Set(i, j)
 				refc.set(i, j)
 				sameAsRef(t, "Clone+Set(clone)", c, refc)
 				sameAsRef(t, "Clone(original)", m, ref)
-			default: // CopyFrom round-trips through a scratch mask
-				scratch := NewMask(n)
-				scratch.Set(i, j)
-				scratch.CopyFrom(m)
-				sameAsRef(t, "CopyFrom", scratch, ref)
 			}
 		}
 
@@ -146,32 +141,10 @@ func TestMaskPropertyVsReference(t *testing.T) {
 			if ov.RowCount(i) != len(refWork.rows[i]) {
 				t.Fatalf("overlay RowCount(%d) = %d, want %d", i, ov.RowCount(i), len(refWork.rows[i]))
 			}
-			surv := ov.AppendRow(nil, i)
-			want := refWork.rowEntries(i)
-			if len(surv) != len(want) {
-				t.Fatalf("overlay AppendRow(%d) = %v, want %v", i, surv, want)
-			}
-			for k := range want {
-				if int(surv[k]) != want[k] {
-					t.Fatalf("overlay AppendRow(%d) = %v, want %v", i, surv, want)
-				}
-			}
 			for j := 0; j < n; j++ {
 				if ov.Has(i, j) != refWork.has(i, j) {
 					t.Fatalf("overlay Has(%d,%d) = %v, want %v", i, j, ov.Has(i, j), refWork.has(i, j))
 				}
-			}
-		}
-		mzd := ov.Materialize()
-		var got, want [][2]int
-		mzd.Entries(func(i, j int) { got = append(got, [2]int{i, j}) })
-		ov.Entries(func(i, j int) { want = append(want, [2]int{i, j}) })
-		if len(got) != len(want) {
-			t.Fatalf("Materialize/Entries disagree: %v vs %v", got, want)
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("Materialize/Entries disagree at %d: %v vs %v", k, got[k], want[k])
 			}
 		}
 		// Reset makes the overlay transparent again.

@@ -105,63 +105,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns a*x for a vector x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic("mat: MulVec dimension mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// AddMat returns a+b.
-func AddMat(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: AddMat dimension mismatch")
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] += v
-	}
-	return out
-}
-
-// Sub returns a-b.
-func Sub(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: Sub dimension mismatch")
-	}
-	out := a.Clone()
-	for i, v := range b.Data {
-		out.Data[i] -= v
-	}
-	return out
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // IsSymmetric reports whether m is square and symmetric within tol.
 func (m *Matrix) IsSymmetric(tol float64) bool {
 	if m.Rows != m.Cols {
@@ -386,77 +329,4 @@ func EffectiveRank(m *Matrix, tol float64) int {
 		}
 	}
 	return r
-}
-
-// EffectiveRankAbsolute returns the number of singular values above an
-// absolute threshold delta. A rank-r matrix plus i.i.d. noise of standard
-// deviation δ has at most r singular values materially above the noise
-// floor (Eisenstat–Ipsen perturbation bounds), which is how the controlled
-// experiment of Appx. E.5 defines effective rank.
-func EffectiveRankAbsolute(m *Matrix, delta float64) int {
-	sv := SingularValues(m)
-	r := 0
-	for _, s := range sv {
-		if s > delta {
-			r++
-		}
-	}
-	return r
-}
-
-// StableRank returns the stable (numerical) rank ‖m‖_F² / s_max², a smooth
-// lower bound on rank that is robust to noise. Used as a diagnostic.
-func StableRank(m *Matrix) float64 {
-	sv := SingularValues(m)
-	if len(sv) == 0 || sv[0] == 0 {
-		return 0
-	}
-	var f2 float64
-	for _, s := range sv {
-		f2 += s * s
-	}
-	return f2 / (sv[0] * sv[0])
-}
-
-// LowRankApprox returns the best rank-k approximation of a symmetric matrix
-// via its truncated eigendecomposition.
-func LowRankApprox(a *Matrix, k int) *Matrix {
-	n := a.Rows
-	if k > n {
-		k = n
-	}
-	vals, vecs := SymEigen(a)
-	out := New(n, n)
-	// Keep the k eigenvalues of largest magnitude.
-	type ev struct {
-		idx int
-		abs float64
-	}
-	order := make([]ev, n)
-	for i := 0; i < n; i++ {
-		order[i] = ev{i, math.Abs(vals[i])}
-	}
-	for i := 0; i < k; i++ {
-		best := i
-		for j := i + 1; j < n; j++ {
-			if order[j].abs > order[best].abs {
-				best = j
-			}
-		}
-		order[i], order[best] = order[best], order[i]
-	}
-	for t := 0; t < k; t++ {
-		id := order[t].idx
-		lam := vals[id]
-		for i := 0; i < n; i++ {
-			vi := vecs.At(i, id)
-			if vi == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				out.Add(i, j, lam*vi*vecs.At(j, id))
-			}
-		}
-	}
-	return out
 }

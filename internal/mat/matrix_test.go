@@ -9,6 +9,22 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// spd returns the symmetric positive-definite matrix BᵀB + I.
+func spd(b *Matrix) *Matrix {
+	a := Mul(b.T(), b)
+	for i := 0; i < a.Rows; i++ {
+		a.Add(i, i, 1)
+	}
+	return a
+}
+
+// mulVec returns a*x through Mul on a one-column matrix.
+func mulVec(a *Matrix, x []float64) []float64 {
+	col := New(len(x), 1)
+	copy(col.Data, x)
+	return Mul(a, col).Data
+}
+
 func TestNewAndAccessors(t *testing.T) {
 	m := New(2, 3)
 	if m.Rows != 2 || m.Cols != 3 || len(m.Data) != 6 {
@@ -83,39 +99,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	got := a.MulVec([]float64{1, 1})
-	if got[0] != 3 || got[1] != 7 {
-		t.Fatalf("MulVec = %v", got)
-	}
-}
-
-func TestAddSubScaleNorm(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{4, 3}, {2, 1}})
-	s := AddMat(a, b)
-	for _, v := range s.Data {
-		if v != 5 {
-			t.Fatalf("AddMat: %v", s.Data)
-		}
-	}
-	d := Sub(s, b)
-	for k := range a.Data {
-		if d.Data[k] != a.Data[k] {
-			t.Fatalf("Sub roundtrip failed")
-		}
-	}
-	a2 := a.Clone()
-	a2.Scale(2)
-	if a2.At(1, 1) != 8 || a.At(1, 1) != 4 {
-		t.Fatalf("Scale/Clone aliasing bug")
-	}
-	if !almostEq(a.FrobeniusNorm(), math.Sqrt(30), 1e-12) {
-		t.Fatalf("FrobeniusNorm = %v", a.FrobeniusNorm())
-	}
-}
-
 func TestSymmetry(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {2.0000001, 1}})
 	if !a.IsSymmetric(1e-3) {
@@ -137,9 +120,9 @@ func TestSymmetry(t *testing.T) {
 func TestCholeskySolve(t *testing.T) {
 	// SPD matrix A = Bᵀ B + I.
 	b := FromRows([][]float64{{1, 2, 0}, {0, 1, 1}, {2, 0, 1}})
-	a := AddMat(Mul(b.T(), b), Identity(3))
+	a := spd(b)
 	want := []float64{1, -2, 3}
-	rhs := a.MulVec(want)
+	rhs := mulVec(a, want)
 	got, err := CholeskySolve(a, rhs)
 	if err != nil {
 		t.Fatalf("CholeskySolve: %v", err)
@@ -168,7 +151,7 @@ func TestSymEigenKnown(t *testing.T) {
 	// Check A v = λ v for both eigenpairs.
 	for k := 0; k < 2; k++ {
 		v := []float64{vecs.At(0, k), vecs.At(1, k)}
-		av := a.MulVec(v)
+		av := mulVec(a, v)
 		for i := range v {
 			if !almostEq(av[i], vals[k]*v[i], 1e-8) {
 				t.Fatalf("eigenpair %d violated: Av=%v λv=%v", k, av, []float64{vals[k] * v[0], vals[k] * v[1]})
@@ -198,8 +181,10 @@ func TestSymEigenReconstruction(t *testing.T) {
 			}
 		}
 	}
-	if d := Sub(a, recon).FrobeniusNorm(); d > 1e-8 {
-		t.Fatalf("reconstruction error %v", d)
+	for k := range a.Data {
+		if d := math.Abs(a.Data[k] - recon.Data[k]); d > 1e-8 {
+			t.Fatalf("reconstruction error %v at %d", d, k)
+		}
 	}
 	// Eigenvalues sorted decreasing.
 	for k := 1; k < n; k++ {
@@ -250,40 +235,11 @@ func TestEffectiveRank(t *testing.T) {
 	if got := EffectiveRank(a, 1e-3); got != r {
 		t.Fatalf("EffectiveRank = %d, want %d", got, r)
 	}
-	if got := EffectiveRankAbsolute(a, 1e-3); got != r {
-		t.Fatalf("EffectiveRankAbsolute = %d, want %d", got, r)
-	}
-	sr := StableRank(a)
-	if sr <= 0 || sr > float64(r)+0.5 {
-		t.Fatalf("StableRank = %v, want in (0,%d]", sr, r)
-	}
 }
 
 func TestEffectiveRankZeroMatrix(t *testing.T) {
 	if got := EffectiveRank(New(5, 5), 0.01); got != 0 {
 		t.Fatalf("EffectiveRank(zero) = %d", got)
-	}
-	if got := StableRank(New(3, 3)); got != 0 {
-		t.Fatalf("StableRank(zero) = %v", got)
-	}
-}
-
-func TestLowRankApprox(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n, r := 20, 3
-	f := New(n, r)
-	for i := range f.Data {
-		f.Data[i] = rng.NormFloat64()
-	}
-	a := Mul(f, f.T())
-	approx := LowRankApprox(a, r)
-	if d := Sub(a, approx).FrobeniusNorm(); d > 1e-7 {
-		t.Fatalf("rank-%d approx of rank-%d matrix should be exact, err %v", r, r, d)
-	}
-	// Rank-1 approx should be worse but nonzero.
-	a1 := LowRankApprox(a, 1)
-	if d := Sub(a, a1).FrobeniusNorm(); d <= 1e-7 {
-		t.Fatalf("rank-1 approx suspiciously exact")
 	}
 }
 
@@ -297,12 +253,12 @@ func TestCholeskyProperty(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = r.NormFloat64()
 		}
-		a := AddMat(Mul(b.T(), b), Identity(n))
+		a := spd(b)
 		x := make([]float64, n)
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		rhs := a.MulVec(x)
+		rhs := mulVec(a, x)
 		got, err := CholeskySolve(a, rhs)
 		if err != nil {
 			return false

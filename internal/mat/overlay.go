@@ -20,12 +20,6 @@ func NewOverlay(base *Mask) *Overlay {
 	return &Overlay{base: base, removed: make([][]int32, base.n)}
 }
 
-// Base returns the underlying mask.
-func (o *Overlay) Base() *Mask { return o.base }
-
-// N returns the matrix dimension the overlay covers.
-func (o *Overlay) N() int { return o.base.n }
-
 // removeOne records the removal of column j from row i.
 func (o *Overlay) removeOne(i, j int32) {
 	row := o.removed[i]
@@ -85,47 +79,3 @@ func (o *Overlay) RowCount(i int) int {
 // Removed returns the sorted removed columns of row i as a read-only view
 // (nil when the row has no delta).
 func (o *Overlay) Removed(i int) []int32 { return o.removed[i] }
-
-// AppendRow appends the surviving (observed, not removed) columns of row i
-// to dst and returns it — the overlay analogue of Mask.RowView with
-// caller-owned storage.
-func (o *Overlay) AppendRow(dst []int32, i int) []int32 {
-	row := o.base.rows[i]
-	rm := o.removed[i]
-	if len(rm) == 0 {
-		return append(dst, row...)
-	}
-	k := 0
-	for _, j := range row {
-		for k < len(rm) && rm[k] < j {
-			k++
-		}
-		if k < len(rm) && rm[k] == j {
-			continue
-		}
-		dst = append(dst, j)
-	}
-	return dst
-}
-
-// Entries calls fn for every surviving entry with i <= j exactly once, in
-// deterministic (row-major, sorted-column) order.
-func (o *Overlay) Entries(fn func(i, j int)) {
-	var scratch []int32
-	for i := 0; i < o.base.n; i++ {
-		scratch = o.AppendRow(scratch[:0], i)
-		start, _ := searchRow(scratch, int32(i))
-		for _, j := range scratch[start:] {
-			fn(i, int(j))
-		}
-	}
-}
-
-// Materialize returns a standalone Mask equal to the overlaid view.
-func (o *Overlay) Materialize() *Mask {
-	m := NewMask(o.base.n)
-	for i := 0; i < o.base.n; i++ {
-		m.rows[i] = o.AppendRow(nil, i)
-	}
-	return m
-}

@@ -99,28 +99,6 @@ type EventBatch struct {
 	Events []Event
 }
 
-// TouchedASes returns the sorted AS indices whose routing can change
-// from this batch's link events (both endpoints of every LinkDown /
-// Depeer / LinkUp). New-AS arrivals are not included: they grow the AS
-// index space, which callers must treat as a full invalidation (see
-// HasNewAS).
-func (b *EventBatch) TouchedASes() []int {
-	seen := map[int]bool{}
-	for _, ev := range b.Events {
-		switch ev.Kind {
-		case LinkDown, Depeer, LinkUp:
-			seen[ev.A] = true
-			seen[ev.B] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // TouchedLinks returns the distinct peering links (endpoints in low-high
 // order, sorted) churned by this batch's link events — the input of
 // link-scoped route-cache invalidation.
@@ -144,16 +122,6 @@ func (b *EventBatch) TouchedLinks() [][2]int {
 		return out[i][0] < out[j][0] || (out[i][0] == out[j][0] && out[i][1] < out[j][1])
 	})
 	return out
-}
-
-// HasNewAS reports whether the batch grows the AS index space.
-func (b *EventBatch) HasNewAS() bool {
-	for _, ev := range b.Events {
-		if ev.Kind == NewASArrival {
-			return true
-		}
-	}
-	return false
 }
 
 // EvolveSpec sizes one evolution batch. Counts are targets, clamped to

@@ -151,22 +151,6 @@ func TestEvolveEventEffects(t *testing.T) {
 			}
 		}
 	}
-	// TouchedASes covers every link-event endpoint.
-	touched := map[int]bool{}
-	for _, a := range batch.TouchedASes() {
-		touched[a] = true
-	}
-	for _, ev := range batch.Events {
-		switch ev.Kind {
-		case LinkDown, Depeer, LinkUp:
-			if !touched[ev.A] || !touched[ev.B] {
-				t.Fatalf("TouchedASes missing endpoint of %v", ev)
-			}
-		}
-	}
-	if !batch.HasNewAS() {
-		t.Fatal("HasNewAS = false on a batch with arrivals")
-	}
 }
 
 // TestEvolveDownsRemoveRelationships pins the down/depeer semantics:

@@ -1150,11 +1150,6 @@ func (w *World) RelOf(a, b int) (asgraph.Rel, bool) {
 	return r, ok
 }
 
-// IsCustomerOf reports whether a is a (direct) customer of b.
-func (w *World) IsCustomerOf(a, b int) bool {
-	return w.G.HasProvider(a, b)
-}
-
 // SameFacility reports whether a and b share a facility at metro m.
 func (w *World) SameFacility(a, b, m int) bool {
 	for _, fac := range w.Facilities[m] {

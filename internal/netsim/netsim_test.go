@@ -299,7 +299,7 @@ func TestRelAndInterconnectAccessors(t *testing.T) {
 			if !w.CustomerIsA[pr] {
 				cust, prov = prov, cust
 			}
-			if !w.IsCustomerOf(cust, prov) {
+			if !w.G.HasProvider(cust, prov) {
 				t.Fatalf("C2P pair %v inconsistent with graph", pr)
 			}
 		}

@@ -413,16 +413,9 @@ func (s *Store) DirectMetros(a, b int) []int {
 	return out
 }
 
-// WellPositioned reports whether the probe can judge links of AS i at
+// wellPositioned reports whether the probe can judge links of AS i at
 // metro m: it has traversed an interface of i at m, or has issued no
 // traceroute at all (§3.4).
-func (s *Store) WellPositioned(vpAS, vpMetro, i, m int) bool {
-	return s.wellPositioned(probeKey{int32(vpAS), int32(vpMetro)}, int32(i), int32(m))
-}
-
-// wellPositioned is WellPositioned on the packed record types — the
-// estimate hot loop reads transit records directly, so it skips the
-// int round-trip.
 func (s *Store) wellPositioned(pk probeKey, i, m int32) bool {
 	if s.probeTraces[pk] == 0 {
 		return true

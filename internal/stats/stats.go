@@ -1,8 +1,8 @@
 // Package stats collects the statistical machinery metAScritic's evaluation
 // needs: binary-classifier metrics (precision/recall/F-score, PR and ROC
-// curves with their areas), distribution comparisons (Kolmogorov–Smirnov),
-// association measures (Pearson correlation, the correlation ratio η used
-// for categorical features in Fig. 1), and bootstrap confidence intervals.
+// curves with their areas), empirical CDFs and quantiles, association
+// measures (Pearson correlation, the correlation ratio η used for
+// categorical features in Fig. 1), and bootstrap confidence intervals.
 package stats
 
 import (
@@ -40,15 +40,6 @@ func (c Confusion) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// Accuracy returns (TP+TN)/total, or 0 when there are no samples.
-func (c Confusion) Accuracy() float64 {
-	t := c.TP + c.FP + c.TN + c.FN
-	if t == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(t)
 }
 
 // Confuse builds a confusion matrix from scores, labels and a decision
@@ -192,25 +183,6 @@ func BestF1Threshold(scores []float64, labels []bool) (thr, f1 float64) {
 	return bestThr, bestF1
 }
 
-// MSE returns the mean squared error between predictions and truth.
-func MSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) {
-		panic("stats: MSE length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(pred, truth []float64) float64 { return math.Sqrt(MSE(pred, truth)) }
-
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -221,20 +193,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation (0 for fewer than 2 values).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
 }
 
 // Pearson returns the Pearson correlation coefficient of x and y, or 0 when
@@ -310,43 +268,6 @@ func (e ECDF) At(x float64) float64 {
 	// Number of sample points <= x.
 	n := sort.SearchFloat64s([]float64(e), math.Nextafter(x, math.Inf(1)))
 	return float64(n) / float64(len(e))
-}
-
-// KSDistance returns the Kolmogorov–Smirnov statistic between two samples:
-// the maximum absolute difference between their empirical CDFs.
-func KSDistance(a, b []float64) float64 {
-	ea, eb := NewECDF(a), NewECDF(b)
-	points := append(append([]float64(nil), a...), b...)
-	sort.Float64s(points)
-	var d float64
-	for _, x := range points {
-		if diff := math.Abs(ea.At(x) - eb.At(x)); diff > d {
-			d = diff
-		}
-	}
-	return d
-}
-
-// KSUniform returns the KS statistic between a sample and the Uniform(0,1)
-// distribution — the calibration measure of Fig. 4, where a perfectly
-// calibrated probability predictor yields the diagonal CDF.
-func KSUniform(sample []float64) float64 {
-	e := NewECDF(sample)
-	var d float64
-	for i, x := range e {
-		// Compare the empirical CDF just before and at each sample point
-		// against the uniform CDF clamp(x, 0, 1).
-		u := math.Min(1, math.Max(0, x))
-		hi := float64(i+1) / float64(len(e))
-		lo := float64(i) / float64(len(e))
-		if diff := math.Abs(hi - u); diff > d {
-			d = diff
-		}
-		if diff := math.Abs(lo - u); diff > d {
-			d = diff
-		}
-	}
-	return d
 }
 
 // BootstrapCI returns the mean and a (1-alpha) percentile bootstrap

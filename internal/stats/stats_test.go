@@ -20,11 +20,8 @@ func TestConfusionBasics(t *testing.T) {
 	if !feq(c.F1(), 0.8, 1e-12) {
 		t.Fatalf("f1 %v", c.F1())
 	}
-	if !feq(c.Accuracy(), 13.0/17.0, 1e-12) {
-		t.Fatalf("accuracy %v", c.Accuracy())
-	}
 	var zero Confusion
-	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 || zero.Accuracy() != 0 {
+	if zero.Precision() != 0 || zero.Recall() != 0 || zero.F1() != 0 {
 		t.Fatalf("zero confusion should be all zeros")
 	}
 }
@@ -113,28 +110,13 @@ func TestBestF1Threshold(t *testing.T) {
 	}
 }
 
-func TestMSERMSE(t *testing.T) {
-	if m := MSE([]float64{1, 2}, []float64{1, 4}); !feq(m, 2, 1e-12) {
-		t.Fatalf("MSE %v", m)
-	}
-	if r := RMSE([]float64{0, 0}, []float64{3, 4}); !feq(r, math.Sqrt(12.5), 1e-12) {
-		t.Fatalf("RMSE %v", r)
-	}
-	if m := MSE(nil, nil); m != 0 {
-		t.Fatalf("MSE empty %v", m)
-	}
-}
-
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); !feq(m, 5, 1e-12) {
 		t.Fatalf("mean %v", m)
 	}
-	if s := StdDev(xs); !feq(s, math.Sqrt(32.0/7.0), 1e-12) {
-		t.Fatalf("std %v", s)
-	}
-	if StdDev([]float64{1}) != 0 || Mean(nil) != 0 {
-		t.Fatalf("degenerate cases")
+	if Mean(nil) != 0 {
+		t.Fatalf("empty mean")
 	}
 }
 
@@ -187,34 +169,6 @@ func TestECDF(t *testing.T) {
 	var empty ECDF
 	if empty.At(1) != 0 {
 		t.Fatalf("empty ECDF")
-	}
-}
-
-func TestKSDistance(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if d := KSDistance(a, a); d != 0 {
-		t.Fatalf("KS(self) = %v", d)
-	}
-	b := []float64{101, 102, 103}
-	if d := KSDistance(a, b); !feq(d, 1, 1e-12) {
-		t.Fatalf("disjoint KS = %v", d)
-	}
-}
-
-func TestKSUniform(t *testing.T) {
-	// A dense uniform grid should have tiny KS distance to U(0,1).
-	n := 1000
-	grid := make([]float64, n)
-	for i := range grid {
-		grid[i] = (float64(i) + 0.5) / float64(n)
-	}
-	if d := KSUniform(grid); d > 0.01 {
-		t.Fatalf("uniform grid KS = %v", d)
-	}
-	// A point mass at 0.5 has KS distance 0.5.
-	mass := []float64{0.5, 0.5, 0.5, 0.5}
-	if d := KSUniform(mass); !feq(d, 0.5, 1e-9) {
-		t.Fatalf("point-mass KS = %v", d)
 	}
 }
 

@@ -18,9 +18,6 @@ import (
 // single number for "what did this run cost in memory" benchmarking.
 func PeakRSSBytes() int64 { return Read().PeakRSSBytes }
 
-// CurrentRSSBytes returns the process's current resident set size (VmRSS).
-func CurrentRSSBytes() int64 { return Read().CurrentRSSBytes }
-
 // Stats is one consistent snapshot of the process memory counters.
 type Stats struct {
 	// PeakRSSBytes is VmHWM: the resident high-water mark since start.

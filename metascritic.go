@@ -77,13 +77,7 @@ type Config struct {
 	// default is far above any legacy-scale metro, so behavior below the
 	// threshold is exactly unchanged. 0 disables pruning.
 	MaxMetroMembers int
-	// StrictBudget makes Run fail with ErrBudgetExhausted when
-	// MaxMeasurements runs dry before the bootstrap calibration plan
-	// completes, instead of silently proceeding with partially calibrated
-	// strategy success rates. Off by default: the paper's system degrades
-	// gracefully under tiny budgets, and so do we.
-	StrictBudget bool
-	Seed         int64
+	Seed            int64
 }
 
 // DefaultConfig returns the paper's operating point.

@@ -185,10 +185,6 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 
 	// Bootstrap phase (§3.3.2): calibrate per-strategy success rates with
 	// a few random measurements per strategy before targeted selection.
-	if boot > 0 && budget <= 0 && cfg.StrictBudget {
-		return nil, fmt.Errorf("metascritic: metro %d: %w: budget %d cannot cover the %d-per-strategy bootstrap calibration",
-			metro, ErrBudgetExhausted, cfg.MaxMeasurements, boot)
-	}
 	if boot > 0 && budget > 0 {
 		plan := sel.BootstrapPlan(boot, 600, rng)
 		p.runPlan(ctx, workers, plan, &budget, mstats, func(m probe.Measurement, findings []obs.Finding) {
@@ -211,10 +207,6 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 			})
 		})
 		refresh()
-		if cfg.StrictBudget && budget <= 0 && res.BootstrapMeasurements < len(plan) && ctx.Err() == nil {
-			return nil, fmt.Errorf("metascritic: metro %d: %w: bootstrap calibration truncated at %d of %d planned measurements",
-				metro, ErrBudgetExhausted, res.BootstrapMeasurements, len(plan))
-		}
 	}
 	ps.clock.mark(&res.Timings.Bootstrap, &res.Timings.Allocs.Bootstrap)
 	if err := ctx.Err(); err != nil {
