@@ -47,7 +47,7 @@ func DefaultOptions(rank int) Options {
 //
 // Callers completing the same (E, mask, features) more than once should
 // build a Problem and reuse it instead.
-func Complete(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, opts Options) *mat.Matrix {
+func Complete(E mat.View, mask *mat.Mask, features *mat.Matrix, opts Options) *mat.Matrix {
 	if opts.FeatureWeight <= 0 {
 		features = nil
 	}
@@ -92,7 +92,7 @@ func clip(v, lo, hi float64) float64 {
 }
 
 // holdoutMSEProblem scores one holdout on an already-built problem.
-func holdoutMSEProblem(p *Problem, E *mat.Matrix, ov *mat.Overlay, holdout [][2]int, opts Options) float64 {
+func holdoutMSEProblem(p *Problem, E mat.View, ov *mat.Overlay, holdout [][2]int, opts Options) float64 {
 	completed := p.Complete(opts, ov)
 	var se float64
 	cnt := 0
@@ -111,7 +111,7 @@ func holdoutMSEProblem(p *Problem, E *mat.Matrix, ov *mat.Overlay, holdout [][2]
 // returns the mean squared error on the removed entries. It is the scoring
 // primitive of the rank-estimation loop (§3.2). The caller's mask is not
 // mutated: the removals are applied as an overlay.
-func HoldoutMSE(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, holdout [][2]int, opts Options) float64 {
+func HoldoutMSE(E mat.View, mask *mat.Mask, features *mat.Matrix, holdout [][2]int, opts Options) float64 {
 	if opts.FeatureWeight <= 0 {
 		features = nil
 	}
@@ -138,7 +138,7 @@ type TuneResult struct {
 // par.For; the winner is then selected by a serial scan in grid order,
 // which keeps the result byte-identical to the sequential search (ties
 // keep the earliest grid point either way).
-func TuneWith(probNoF, probF *Problem, E *mat.Matrix, mask *mat.Mask, rank int, rng *rand.Rand) TuneResult {
+func TuneWith(probNoF, probF *Problem, E mat.View, mask *mat.Mask, rank int, rng *rand.Rand) TuneResult {
 	// Build a holdout of ~10% of observed entries.
 	var entries [][2]int
 	mask.Entries(func(i, j int) {

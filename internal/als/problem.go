@@ -30,8 +30,7 @@ import (
 // still factors the augmented dimension; build a featureless Problem for
 // bit-compatibility with the features-off path.)
 type Problem struct {
-	n, f int         // AS block size, feature column count
-	E    *mat.Matrix // estimated matrix the observations were drawn from
+	n, f int // AS block size, feature column count
 	rows [][]observation
 }
 
@@ -47,15 +46,15 @@ type observation struct {
 // nil (or have zero columns) for a links-only problem; pass nil when the
 // intended FeatureWeight is 0 to match the features-off completion path
 // exactly.
-func NewProblem(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix) *Problem {
-	n := E.Rows
+func NewProblem(E mat.View, mask *mat.Mask, features *mat.Matrix) *Problem {
+	n := mask.N()
 	f := 0
 	var feat *mat.Matrix
 	if features != nil && features.Cols > 0 {
 		feat = normalizeColumns(features)
 		f = feat.Cols
 	}
-	p := &Problem{n: n, f: f, E: E, rows: make([][]observation, n+f)}
+	p := &Problem{n: n, f: f, rows: make([][]observation, n+f)}
 	// AS rows: link observations (mask rows are sorted, so the per-row
 	// lists come out sorted by column with no re-sort), then feature
 	// columns n..n+f-1 in order.

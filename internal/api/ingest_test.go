@@ -178,12 +178,14 @@ func TestIngestValidation(t *testing.T) {
 	s := testServer(t, Options{})
 	h := s.Handler()
 	for body, want := range map[string]int{
-		`{"link_downs": 2`:   http.StatusBadRequest, // truncated JSON
-		`{"surprise": 1}`:    http.StatusBadRequest, // unknown field
-		`{}`:                 http.StatusBadRequest, // empty spec
-		`{"link_downs": -1}`: http.StatusBadRequest, // negative count
-		`{"new_ases": 1025}`: http.StatusBadRequest, // above maxEventsPerKind
-		`{"link_ups": 1, "traces_per_probe": -2}`:                  http.StatusBadRequest,
+		`{"link_downs": 2`:                        http.StatusBadRequest, // truncated JSON
+		`{"surprise": 1}`:                         http.StatusBadRequest, // unknown field
+		`{}`:                                      http.StatusBadRequest, // empty spec
+		`{"link_downs": -1}`:                      http.StatusBadRequest, // negative count
+		`{"new_ases": 1025}`:                      http.StatusBadRequest, // above maxEventsPerKind
+		`{"link_downs": 2} trailing`:              http.StatusBadRequest, // bytes after the value
+		`{"link_downs": 2}{"seed": 1}`:            http.StatusBadRequest, // a second value
+		`{"link_ups": 1, "traces_per_probe": -2}`: http.StatusBadRequest,
 		`{"link_ups": 1, "traces_per_probe": 4611686018427387904}`: http.StatusBadRequest, // would panic after Evolve
 	} {
 		res, resp := postIngest(t, h, body)

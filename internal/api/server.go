@@ -22,7 +22,9 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -167,6 +169,25 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// decodeBody decodes a POST body of at most 1 MiB holding exactly one JSON
+// value with only known fields into v. Anything else — trailing bytes
+// after the value included — is answered 400, and it reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
 }
 
 // metroResult resolves a metro path element that must have a served
@@ -440,10 +461,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	s.worldMu.RLock()
 	defer s.worldMu.RUnlock()
 	var req runRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	st := s.State()

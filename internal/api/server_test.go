@@ -268,6 +268,12 @@ func TestSubmitRunValidation(t *testing.T) {
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated JSON accepted: %d %s", res.StatusCode, body)
 	}
+	for _, trailing := range []string{`{"metros": ["Tokyo"]} trailing`, `{"budget": 60} {"budget": 60}`} {
+		res, body = post(trailing)
+		if res.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body with bytes after its JSON value accepted: %d %s", res.StatusCode, body)
+		}
+	}
 	// A repeated metro is a config RunAll rejects, so Submit rejects it
 	// too, before any run record exists.
 	res, body = post(fmt.Sprintf(`{"metros": [%q, %q]}`, fixture.metro, fixture.metro))

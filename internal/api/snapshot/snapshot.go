@@ -264,17 +264,22 @@ func appendResult(b []byte, r *metascritic.Result) []byte {
 	for _, v := range r.StrategyRates {
 		b = appendF64(b, v)
 	}
-	b = appendMatrix(b, r.Ratings)
-	b = appendMatrix(b, r.Estimate.E)
+	b = appendMatrix(b, r.Ratings.Rows, r.Ratings.Cols, r.Ratings)
+	n := r.Estimate.E.N()
+	b = appendMatrix(b, n, n, r.Estimate.E)
 	b = appendMask(b, r.Estimate.Mask)
 	return b
 }
 
-func appendMatrix(b []byte, m *mat.Matrix) []byte {
-	b = binary.AppendUvarint(b, uint64(m.Rows))
-	b = binary.AppendUvarint(b, uint64(m.Cols))
-	for _, v := range m.Data {
-		b = appendF64(b, v)
+// appendMatrix writes a rows×cols matrix densely, row-major: the sparse
+// estimate E is written with its zeros, as a dense one always was.
+func appendMatrix(b []byte, rows, cols int, m mat.View) []byte {
+	b = binary.AppendUvarint(b, uint64(rows))
+	b = binary.AppendUvarint(b, uint64(cols))
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			b = appendF64(b, m.At(i, j))
+		}
 	}
 	return b
 }
@@ -487,11 +492,19 @@ func (d *decoder) result() *metascritic.Result {
 	for i, as := range r.Members {
 		idx[as] = i
 	}
+	// E is stored on its mask: the values off it are the zeros the encoder
+	// wrote densely.
+	sparse := mat.NewSparse(n)
+	for i := 0; i < n; i++ {
+		for _, j := range mask.RowView(i) {
+			sparse.Set(i, int(j), e.At(i, int(j)))
+		}
+	}
 	// The reconstructed estimate carries everything the serving API reads
 	// (Value, Mask, Index); it is detached from any store, so a Refresh
 	// against a live store would rebuild rather than delta-patch — the
 	// daemon never refreshes served estimates.
-	r.Estimate = &obs.Estimate{Metro: r.Metro, Members: r.Members, Index: idx, E: e, Mask: mask}
+	r.Estimate = &obs.Estimate{Metro: r.Metro, Members: r.Members, Index: idx, E: sparse, Mask: mask}
 	return r
 }
 

@@ -440,7 +440,7 @@ func (g *Graph) InCone(x, i int) bool {
 // same metro, same country, same continent, or elsewhere. It is the
 // four-way split used both for measurement strategies (§3.3.2) and for the
 // transferability weights (§3.4).
-type GeoScope int
+type GeoScope uint8
 
 // Geographic scopes from closest to farthest.
 const (
@@ -454,7 +454,7 @@ const (
 var scopeNames = [...]string{"SameMetro", "SameCountry", "SameContinent", "Elsewhere"}
 
 func (s GeoScope) String() string {
-	if s < 0 || int(s) >= len(scopeNames) {
+	if int(s) >= len(scopeNames) {
 		return fmt.Sprintf("GeoScope(%d)", int(s))
 	}
 	return scopeNames[s]

@@ -46,7 +46,7 @@ func (m *NCF) inputDim() int { return 2*m.cfg.EmbedDim + 2*m.fdim }
 
 // TrainNCF fits the model on the observed entries of E (features may be
 // nil). It returns a predictor for arbitrary member pairs.
-func TrainNCF(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, cfg NCFConfig) *NCF {
+func TrainNCF(E mat.View, mask *mat.Mask, features *mat.Matrix, cfg NCFConfig) *NCF {
 	if cfg.EmbedDim < 1 {
 		cfg.EmbedDim = 4
 	}
@@ -56,7 +56,7 @@ func TrainNCF(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, cfg NCFConfig
 	if cfg.LearnRate <= 0 {
 		cfg.LearnRate = 0.01
 	}
-	n := E.Rows
+	n := mask.N()
 	fdim := 0
 	if features != nil {
 		fdim = features.Cols

@@ -312,13 +312,19 @@ func TestTable4Complete(t *testing.T) {
 
 func TestTable5AndFig16(t *testing.T) {
 	h := testHarness(t)
-	counts, _ := Table5(h)
+	counts, tbl := Table5(h)
 	totalAdded := 0
 	for _, c := range counts {
 		totalAdded += c[1]
 	}
 	if totalAdded == 0 {
 		t.Fatalf("metAScritic added no links")
+	}
+	// A class pair with no public-view link has no growth percentage.
+	for _, row := range tbl.Rows {
+		if (row[1] == "0") != (row[3] == "—") {
+			t.Fatalf("Table 5 row %v: Increase%% must be — exactly when PublicView is 0", row)
+		}
 	}
 	rows, _ := Fig16(h)
 	if len(rows) != 6 {
@@ -528,6 +534,17 @@ func TestTableRendering(t *testing.T) {
 	}
 	if F(0.1234) != "0.123" || D(7) != "7" {
 		t.Fatalf("formatters wrong")
+	}
+
+	// Columns holding multi-byte runes ("λ", "—") align by rune count:
+	// the second column starts at the same rune offset on every line.
+	tbl = &Table{Header: []string{"λ", "P"}}
+	tbl.AddRow("—", "1")
+	tbl.AddRow("0.50", "2")
+	for _, line := range strings.Split(strings.TrimSuffix(tbl.String(), "\n"), "\n") {
+		if r := []rune(line); len(r) < 7 || r[6] == ' ' || r[5] != ' ' {
+			t.Fatalf("column misaligned in %q:\n%s", line, tbl.String())
+		}
 	}
 }
 

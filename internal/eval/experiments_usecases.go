@@ -492,11 +492,12 @@ func Table5(h *Harness) (map[[2]asgraph.Class][2]int, *Table) {
 	})
 	for _, k := range keys {
 		c := counts[k]
-		inc := 0.0
+		// Growth from no public link at all has no percentage.
+		inc := "—"
 		if c[0] > 0 {
-			inc = 100 * float64(c[1]) / float64(c[0])
+			inc = fmt.Sprintf("%.0f", 100*float64(c[1])/float64(c[0]))
 		}
-		tbl.AddRow(fmt.Sprintf("%v-%v", k[0], k[1]), D(c[0]), D(c[1]), fmt.Sprintf("%.0f", inc))
+		tbl.AddRow(fmt.Sprintf("%v-%v", k[0], k[1]), D(c[0]), D(c[1]), inc)
 	}
 	return counts, tbl
 }

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"metascritic"
 	"metascritic/internal/asgraph"
@@ -251,7 +252,7 @@ func (h *Harness) EvaluateSplits(res *metascritic.Result, specs []SplitSpec) []S
 
 // holdoutLabels pairs every held-out entry's completed score with its
 // measured sign, the label of the paper's cross-validation.
-func holdoutLabels(completed, E *mat.Matrix, holdout [][2]int) (scores []float64, labels []bool) {
+func holdoutLabels(completed *mat.Matrix, E mat.View, holdout [][2]int) (scores []float64, labels []bool) {
 	for _, hh := range holdout {
 		scores = append(scores, completed.At(hh[0], hh[1]))
 		labels = append(labels, E.At(hh[0], hh[1]) > 0)
@@ -347,14 +348,16 @@ func (t *Table) String() string {
 	if t.Title != "" {
 		fmt.Fprintf(&b, "== %s ==\n", t.Title)
 	}
+	// Widths and padding count runes, not bytes, so cells such as "—" or
+	// "λ" line up.
 	widths := make([]int, len(t.Header))
 	for i, hcell := range t.Header {
-		widths[i] = len(hcell)
+		widths[i] = utf8.RuneCountInString(hcell)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -363,7 +366,8 @@ func (t *Table) String() string {
 			if i > 0 {
 				b.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			b.WriteString(c)
+			b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 		}
 		b.WriteByte('\n')
 	}

@@ -42,30 +42,38 @@ type Estimate struct {
 	Metro   int
 	Members []int
 	Index   map[int]int
-	// E holds evidence values in [-1, 1]; only entries in Mask are
-	// meaningful.
-	E    *mat.Matrix
+	// E holds evidence values in [-1, 1], stored on Mask's entries only
+	// (it reads 0 off them): Set, clear and rebuilds write E and Mask
+	// together, so E's support is always exactly Mask.
+	E    *mat.Sparse
 	Mask *mat.Mask
 
 	// Delta-maintenance bookkeeping: the store and parameters this
 	// estimate was derived from, and the log watermarks it has consumed.
-	src       *storeIdent
-	policy    NegativePolicy
-	maxScope  asgraph.GeoScope
-	memberSet map[int]bool
-	dirtyPos  int // s.dirty[:dirtyPos] is folded in
-	confPos   int // s.conflicts[:confPos] is folded in
+	src      *storeIdent
+	policy   NegativePolicy
+	maxScope asgraph.GeoScope
+	dirtyPos int // s.dirty[:dirtyPos] is folded in
+	confPos  int // s.conflicts[:confPos] is folded in
 }
 
 // Value returns the evidence value for graph-level ASes a and b, and
-// whether it is observed.
+// whether it is observed. E's support is the mask, so one row search
+// answers both.
 func (e *Estimate) Value(a, b int) (float64, bool) {
 	i, ok1 := e.Index[a]
 	j, ok2 := e.Index[b]
-	if !ok1 || !ok2 || !e.Mask.Has(i, j) {
+	if !ok1 || !ok2 {
 		return 0, false
 	}
-	return e.E.At(i, j), true
+	return e.E.Lookup(i, j)
+}
+
+// covers reports whether both ASes of pr are members.
+func (e *Estimate) covers(pr asgraph.Pair) bool {
+	_, okA := e.Index[pr.A]
+	_, okB := e.Index[pr.B]
+	return okA && okB
 }
 
 // Set records an evidence value (keeping E symmetric).
@@ -77,8 +85,8 @@ func (e *Estimate) Set(i, j int, v float64) {
 
 // clear removes a pair's entry (keeping E symmetric).
 func (e *Estimate) clear(i, j int) {
-	e.E.Set(i, j, 0)
-	e.E.Set(j, i, 0)
+	e.E.Unset(i, j)
+	e.E.Unset(j, i)
 	e.Mask.Unset(i, j)
 }
 
@@ -132,7 +140,7 @@ func (s *Store) EstimateScoped(metro int, members []int, policy NegativePolicy, 
 		Metro:    metro,
 		Members:  members,
 		Index:    make(map[int]int, len(members)),
-		E:        mat.New(len(members), len(members)),
+		E:        mat.NewSparse(len(members)),
 		Mask:     mat.NewMask(len(members)),
 		src:      s.ident,
 		policy:   policy,
@@ -140,10 +148,6 @@ func (s *Store) EstimateScoped(metro int, members []int, policy NegativePolicy, 
 	}
 	for i, as := range members {
 		est.Index[as] = i
-	}
-	est.memberSet = make(map[int]bool, len(members))
-	for _, as := range members {
-		est.memberSet[as] = true
 	}
 	s.rebuildInto(est)
 	return est
@@ -153,9 +157,7 @@ func (s *Store) EstimateScoped(metro int, members []int, policy NegativePolicy, 
 // evidence, in place (E and Mask objects are reused), and stamps the
 // current log watermarks.
 func (s *Store) rebuildInto(est *Estimate) {
-	for i := range est.E.Data {
-		est.E.Data[i] = 0
-	}
+	est.E.Reset()
 	est.Mask.Reset()
 	for pr := range s.direct {
 		s.applyPair(est, pr)
@@ -201,10 +203,7 @@ func (s *Store) Refresh(est *Estimate) *Estimate {
 	}
 	var seen map[asgraph.Pair]bool
 	for _, pr := range s.dirty[est.dirtyPos:] {
-		if !est.memberSet[pr.A] || !est.memberSet[pr.B] {
-			continue
-		}
-		if seen[pr] {
+		if !est.covers(pr) || seen[pr] {
 			continue
 		}
 		if seen == nil {
@@ -222,7 +221,9 @@ func (s *Store) Refresh(est *Estimate) *Estimate {
 // no evidence survives the scope/policy gates. Idempotent: the result
 // depends only on the store state, not on prior estimate content.
 func (s *Store) applyPair(est *Estimate, pr asgraph.Pair) {
-	if !est.memberSet[pr.A] || !est.memberSet[pr.B] {
+	i, okA := est.Index[pr.A]
+	j, okB := est.Index[pr.B]
+	if !okA || !okB {
 		return
 	}
 	pos := s.posEvidence(pr, est.Metro, est.maxScope)
@@ -232,7 +233,6 @@ func (s *Store) applyPair(est *Estimate, pr asgraph.Pair) {
 	if neg < 0 && (pos == 0 || -neg > pos) {
 		v = neg
 	}
-	i, j := est.Index[pr.A], est.Index[pr.B]
 	if v == 0 {
 		est.clear(i, j)
 		return

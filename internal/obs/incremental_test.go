@@ -44,12 +44,14 @@ func randTrace(rng *rand.Rand) traceroute.Trace {
 // mask rows.
 func requireSameEstimate(t *testing.T, tag string, got, want *Estimate) {
 	t.Helper()
-	if len(got.E.Data) != len(want.E.Data) {
-		t.Fatalf("%s: E size %d != %d", tag, len(got.E.Data), len(want.E.Data))
+	if got.E.N() != want.E.N() {
+		t.Fatalf("%s: E size %d != %d", tag, got.E.N(), want.E.N())
 	}
-	for i := range want.E.Data {
-		if got.E.Data[i] != want.E.Data[i] {
-			t.Fatalf("%s: E.Data[%d] = %v, want %v", tag, i, got.E.Data[i], want.E.Data[i])
+	for i := 0; i < want.E.N(); i++ {
+		for j := 0; j < want.E.N(); j++ {
+			if g, w := got.E.At(i, j), want.E.At(i, j); g != w {
+				t.Fatalf("%s: E(%d,%d) = %v, want %v", tag, i, j, g, w)
+			}
 		}
 	}
 	if gn, wn := got.Mask.Count(), want.Mask.Count(); gn != wn {

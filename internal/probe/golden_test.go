@@ -747,7 +747,9 @@ func goldenWorld(rng *rand.Rand, n int, geoPools [asgraph.NumGeoScopes]int) (*as
 // twin RNGs through BootstrapPlan, EntryProb and many SelectBatch rounds
 // with mixed informative and uninformative Reports, and requires the same
 // measurements, the same RNG position after every call and the same
-// final strategy rates.
+// final strategy rates. Every case runs twice: the Selector draws from a
+// plain *rand.Rand (the per-draw replay), then from a Stream it was told
+// about (the bulk skip), against the oracle's plain *rand.Rand.
 func TestSelectorMatchesGoldenOracle(t *testing.T) {
 	pools := [][asgraph.NumGeoScopes]int{
 		{1, 1, 1, 1},     // singleton categories
@@ -767,20 +769,25 @@ func TestSelectorMatchesGoldenOracle(t *testing.T) {
 				}
 				seed++
 				t.Run(fmt.Sprintf("n=%d/pool=%d/eps=%v", n, pi, eps), func(t *testing.T) {
-					p, e := goldenRun(t, seed, n, pool, eps)
-					picks, explored = picks+p, explored+e
+					for _, src := range []string{"rand", "stream"} {
+						t.Run("src="+src, func(t *testing.T) {
+							p, e := goldenRun(t, seed, n, pool, eps, src == "stream")
+							picks, explored = picks+p, explored+e
+						})
+					}
 				})
 			}
 		}
 	}
-	if picks < 1000 || explored < 100 {
+	if picks < 2000 || explored < 200 {
 		t.Fatalf("oracle runs chose %d measurements, %d explorations: too few to compare", picks, explored)
 	}
 }
 
 // goldenRun compares one world and returns how many measurements the
-// batches chose and how many of them were explorations.
-func goldenRun(t *testing.T, seed int64, n int, pool [asgraph.NumGeoScopes]int, eps float64) (picks, explored int) {
+// batches chose and how many of them were explorations. With stream set,
+// the Selector draws from a Stream and is told so.
+func goldenRun(t *testing.T, seed int64, n int, pool [asgraph.NumGeoScopes]int, eps float64, stream bool) (picks, explored int) {
 	world := rand.New(rand.NewSource(seed))
 	g, members, vps, hitlist := goldenWorld(world, n, pool)
 	ref := newRefSelector(g, 0, members, vps, hitlist)
@@ -794,6 +801,11 @@ func goldenRun(t *testing.T, seed int64, n int, pool [asgraph.NumGeoScopes]int, 
 		sel.InitPriors(prior, 20)
 	}
 	rngRef, rngSel := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	if stream {
+		st := NewStream(seed)
+		rngSel = st.Rand()
+		sel.UseStream(st)
+	}
 	sameStream := func(call string) {
 		t.Helper()
 		if a, b := rngRef.Int63(), rngSel.Int63(); a != b {

@@ -18,8 +18,10 @@
 //     measurement, pickVP's 24 sampled Intn (categories above 24 VPs) and
 //     its Float64, then the target's Intn — are replayed in the same order.
 //     Only the winner turns its draws into a VP and a target; every other
-//     pair just advances the stream (skipIntn, skipVP), with no weights
-//     and no modulo.
+//     pair just advances the stream. With a Stream (UseStream) the pairs
+//     before the winner and those after it are each skipped in one scan of
+//     the stream's buffer; otherwise, and from any output a draw might
+//     reject, draw by draw (skipPairs).
 //
 // Exploration walks fill sums upward over rows bucketed by fill instead
 // of sorting all open pairs, and rows are ordered by a stable counting
@@ -53,7 +55,7 @@ type VP struct {
 
 // VPTopo is the topological relation of a vantage point to the near-side
 // AS i of a link.
-type VPTopo int
+type VPTopo uint8
 
 // Vantage-point topological categories.
 const (
@@ -64,7 +66,7 @@ const (
 )
 
 // TgtTopo is the topological relation of a target to the far-side AS j.
-type TgtTopo int
+type TgtTopo uint8
 
 // Target topological categories. TgtAdjIXP replaces "outside the cone"
 // for targets: addresses adjacent to an IXP in the metro (§3.3.2).
@@ -143,12 +145,29 @@ type Measurement struct {
 // and in-cone VPs, which it records as sorted positions into geo (ex), so
 // no row copies the hundreds of probes outside it.
 type vpCat struct {
-	key int
-	n   int   // number of VPs in the category
-	lim int32 // Int31n rejection bound for n (see skipIntn)
-	own []int32
-	geo []int32
-	ex  []int32
+	key    int
+	n      int    // number of VPs in the category
+	accept uint64 // largest Int63 output Intn(n) accepts (intnBound)
+	draws  int    // RNG draws pickVP makes on the category
+	low    uint64 // lowest of those draws' bounds; int63Mask for none
+	own    []int32
+	geo    []int32
+	ex     []int32
+}
+
+// newVPCat returns the category of n VPs with its draw profile: pickVP
+// draws 24 Intn(n) above 24 VPs, then a Float64 unless the category is a
+// single VP.
+func newVPCat(key, n int, own, geo, ex []int32) vpCat {
+	c := vpCat{key: key, n: n, accept: intnBound(n), low: int63Mask, own: own, geo: geo, ex: ex}
+	if n > 24 {
+		c.draws, c.low = 24, c.accept
+	}
+	if n > 1 {
+		c.draws++
+		c.low = min(c.low, floatBound)
+	}
+	return c
 }
 
 // at returns the Selector.vps index of the category's k-th VP.
@@ -164,9 +183,9 @@ func (c *vpCat) at(k int) int32 {
 
 // tgtCat is one non-empty target category of a member row.
 type tgtCat struct {
-	key  int
-	lim  int32 // Int31n rejection bound for len(tgts)
-	tgts []Target
+	key    int
+	accept uint64 // largest Int63 output Intn(len(tgts)) accepts
+	tgts   []Target
 }
 
 // vpCount tracks the informative/total outcomes of one VP (a canonical
@@ -258,6 +277,10 @@ type Selector struct {
 	fillSorted    []int
 	sampleScratch []int32
 	weightScratch []float64
+
+	// stream, when set, is the source behind the *rand.Rand the caller
+	// passes; skipPairs scans it directly (UseStream).
+	stream *Stream
 }
 
 // NewSelector builds a selector for a metro over the given members, probes
@@ -409,11 +432,11 @@ func (s *Selector) vpCategories(i int) []vpCat {
 		// Indexed by topo: VPInAS, then VPInCone.
 		for topo, own := range [...][]int32{inAS, inCone} {
 			if len(own) > 0 {
-				cats = append(cats, vpCat{key: key + topo, n: len(own), lim: int31nLim(len(own)), own: own})
+				cats = append(cats, newVPCat(key+topo, len(own), own, nil, nil))
 			}
 		}
 		if k := len(all) - len(ex); k > 0 {
-			cats = append(cats, vpCat{key: key + int(VPOutside), n: k, lim: int31nLim(k), geo: all, ex: ex})
+			cats = append(cats, newVPCat(key+int(VPOutside), k, nil, all, ex))
 		}
 	}
 	s.vpCats[i] = cats
@@ -469,7 +492,7 @@ func (s *Selector) targetsFor(j int) []tgtCat {
 	}
 	sort.Slice(cats, func(a, b int) bool { return cats[a].key < cats[b].key })
 	for k := range cats {
-		cats[k].lim = int31nLim(len(cats[k].tgts))
+		cats[k].accept = intnBound(len(cats[k].tgts))
 	}
 	s.tgtCats[j] = cats
 	return cats
@@ -552,33 +575,43 @@ func (s *Selector) materialize(i, j int, p float64, v, t int, rng *rand.Rand) Me
 	}
 }
 
-// int31nLim returns the bound above which math/rand's Int31n(n) rejects a
-// draw; for a power of two, which Int31n masks instead, it is MaxInt32.
-func int31nLim(n int) int32 {
-	return int32((1 << 31) - 1 - (1<<31)%uint32(n))
+// intnBound returns the largest Int63 output that math/rand's Intn(n)
+// accepts, for n at most MaxInt32: Int31n redraws Int31 (the output's top
+// 31 bits) while it exceeds 2³¹ - 1 - 2³¹ mod n, and masks a power of two,
+// whose bound is then MaxInt32. The Go 1 compatibility promise freezes
+// this rejection loop along with the rest of math/rand's value stream.
+func intnBound(n int) uint64 {
+	lim := uint64((1 << 31) - 1 - (1<<31)%uint32(n))
+	return lim<<32 | 1<<32 - 1
 }
 
-// skipIntn advances rng exactly as rng.Intn(n) does, for the n (at most
-// MaxInt32) that lim was computed from, without the modulo. It relies on
-// math/rand (v1) keeping Int31n's rejection loop — redraw Int31 while it
-// exceeds the bound, one masked draw for a power of two — which the Go 1
-// compatibility promise freezes along with the rest of its value stream.
-func skipIntn(rng *rand.Rand, lim int32) {
-	for rng.Int31() > lim {
+// skipIntn advances rng exactly as rng.Intn(n) does, for the n that
+// accept was computed from, without the modulo.
+func skipIntn(rng *rand.Rand, accept uint64) {
+	for uint64(rng.Int63()) > accept {
 	}
 }
 
-// skipVP advances rng exactly as pickVP on vc does.
-func skipVP(vc *vpCat, rng *rand.Rand) {
-	if vc.n == 1 {
-		return
+// skipFrom advances rng exactly as measuring with categories vc and tc
+// does (pickVP, then the target's Intn), except for its first done draws,
+// which were taken already. It returns what is left of done for the draws
+// that follow: done minus this measurement's draws, or 0.
+func skipFrom(vc *vpCat, tc *tgtCat, done int, rng *rand.Rand) int {
+	if d := vc.draws + 1; done >= d {
+		return done - d
 	}
+	ints := 0
 	if vc.n > 24 {
-		for k := 0; k < 24; k++ {
-			skipIntn(rng, vc.lim)
-		}
+		ints = 24
 	}
-	rng.Float64()
+	for k := done; k < ints; k++ {
+		skipIntn(rng, vc.accept)
+	}
+	if vc.n > 1 && done <= ints {
+		rng.Float64()
+	}
+	skipIntn(rng, tc.accept)
+	return 0
 }
 
 func (s *Selector) penaltyFor(i, j, strat int) float64 {
@@ -673,6 +706,11 @@ func (s *Selector) pickVP(vc *vpCat, i int, rng *rand.Rand) VP {
 	return s.vps[sample[len(sample)-1]]
 }
 
+// UseStream tells the selector that st is the source behind the rng it
+// will be passed (st.Rand()), so replayed draws skip through st in bulk.
+// A SelectBatch passed any other *rand.Rand replays draw by draw.
+func (s *Selector) UseStream(st *Stream) { s.stream = st }
+
 // SelectBatch chooses up to size measurements using ε-greedy
 // exploitation/exploration over rows that still need entries: need[i] is
 // the number of additional entries row i requires (rows with need <= 0 are
@@ -744,68 +782,119 @@ func (s *Selector) memo(i, j int) *pairScore {
 	return e
 }
 
-// drawPair replays the RNG draws of measuring link (i, j) from both sides
-// — orientation (i, j), then (j, i), each only when it has a possible
-// measurement — and, when keep is set, materializes the better one (the
-// (i, j) side on ties); the other side only advances the stream.
-func (s *Selector) drawPair(i, j int, keep bool, rng *rand.Rand) Measurement {
+// drawPair measures link (i, j) from the better side — orientation (i, j)
+// on ties — replaying the draws of both sides in order, (i, j) then
+// (j, i), each only when it has a possible measurement: the better side
+// materializes, the other only advances the stream.
+func (s *Selector) drawPair(i, j int, rng *rand.Rand) Measurement {
 	a, b := s.memo(i, j), s.memo(j, i)
-	useB := b.p > a.p
-	var m Measurement
-	if a.v >= 0 {
-		if keep && !useB {
-			m = s.materialize(i, j, a.p, int(a.v), int(a.t), rng)
-		} else {
-			skipVP(&s.vpCats[i][a.v], rng)
-			skipIntn(rng, s.tgtCats[j][a.t].lim)
-		}
+	if b.p > a.p {
+		s.skipSide(i, j, a, 0, rng)
+		return s.materialize(j, i, b.p, int(b.v), int(b.t), rng)
 	}
-	if b.v >= 0 {
-		if keep && useB {
-			m = s.materialize(j, i, b.p, int(b.v), int(b.t), rng)
-		} else {
-			skipVP(&s.vpCats[j][b.v], rng)
-			skipIntn(rng, s.tgtCats[i][b.t].lim)
-		}
-	}
+	m := s.materialize(i, j, a.p, int(a.v), int(a.t), rng)
+	s.skipSide(j, i, b, 0, rng)
 	return m
+}
+
+// drawRun is a run of consecutive single-output RNG draws: how many, and
+// the lowest bound at which one of them accepts its output.
+type drawRun struct {
+	draws int
+	bound uint64
+}
+
+// noDraws is the empty run.
+var noDraws = drawRun{bound: int63Mask}
+
+func (r drawRun) plus(o drawRun) drawRun {
+	return drawRun{r.draws + o.draws, min(r.bound, o.bound)}
+}
+
+// sideRun returns the draws of measuring orientation (i, j) with its memo
+// e, assuming no rejection: none when it has no possible measurement.
+func (s *Selector) sideRun(i, j int, e *pairScore) drawRun {
+	if e.v < 0 {
+		return noDraws
+	}
+	return measureRun(&s.vpCats[i][e.v], &s.tgtCats[j][e.t])
+}
+
+// measureRun returns the draws of measuring with categories vc and tc.
+func measureRun(vc *vpCat, tc *tgtCat) drawRun {
+	return drawRun{vc.draws + 1, min(vc.low, tc.accept)}
+}
+
+// skipSide is skipFrom for orientation (i, j) with its memo e, which draws
+// nothing when the orientation has no possible measurement.
+func (s *Selector) skipSide(i, j int, e *pairScore, done int, rng *rand.Rand) int {
+	if e.v < 0 {
+		return done
+	}
+	return skipFrom(&s.vpCats[i][e.v], &s.tgtCats[j][e.t], done, rng)
+}
+
+// skipPairs advances rng over the draws of measuring links (i, j), j in
+// cols, from both sides, as drawPair does without keeping a measurement.
+// run is those draws' count and lowest bound. With the selector's stream
+// behind rng, one scan takes the run up to the first output that some
+// draw might reject; the rest is replayed draw by draw.
+func (s *Selector) skipPairs(i int, cols []int, run drawRun, rng *rand.Rand) {
+	done := 0
+	if st := s.stream; st != nil && st.rng == rng {
+		if done = st.skip(run.draws, run.bound); done == run.draws {
+			return
+		}
+	}
+	for _, j := range cols {
+		done = s.skipSide(i, j, s.memo(i, j), done, rng)
+		done = s.skipSide(j, i, s.memo(j, i), done, rng)
+	}
 }
 
 // selectExploit picks the row with the fewest filled entries that has some
 // entry with P > 0.1, then the entry with the highest probability (§3.3.1).
 // Every open entry of every row it scans is measured from both sides in the
 // RNG stream, the winner's included, so the rows before the winning one and
-// the winning row itself replay their draws in scan order.
+// the winning row itself replay their draws in scan order. The scan sums
+// the draws of the columns before the winner and of those after it, so
+// each run is skipped in one skipPairs call.
 func (s *Selector) selectExploit(fill, need []int, has func(i, j int) bool, pending []bool, rng *rand.Rand) (Measurement, bool) {
 	n := len(s.Members)
 	for _, i := range s.rowsByFill(fill, need, rng) {
 		cols := s.colScratch[:0]
-		bestP, bestJ := 0.1, -1
+		bestP, bestJ, bestK := 0.1, -1, 0
+		all, before, after := noDraws, noDraws, noDraws
 		for j := 0; j < n; j++ {
 			if j == i || has(i, j) || pending[i*n+j] {
 				continue
 			}
-			cols = append(cols, j)
 			// A link can be measured from either side: probe near i
 			// toward j, or near j toward i. Take the better orientation.
-			p := s.memo(i, j).p
-			if p2 := s.memo(j, i).p; p2 > p {
-				p = p2
+			a, b := s.memo(i, j), s.memo(j, i)
+			p := a.p
+			if b.p > p {
+				p = b.p
 			}
+			run := s.sideRun(i, j, a).plus(s.sideRun(j, i, b))
 			if p > bestP {
-				bestP, bestJ = p, j
+				bestP, bestJ, bestK = p, j, len(cols)
+				before, after = all, noDraws
+			} else {
+				after = after.plus(run)
 			}
+			all = all.plus(run)
+			cols = append(cols, j)
 		}
 		s.colScratch = cols
-		var best Measurement
-		for _, j := range cols {
-			if m := s.drawPair(i, j, j == bestJ, rng); j == bestJ {
-				best = m
-			}
+		if bestJ < 0 {
+			s.skipPairs(i, cols, all, rng)
+			continue
 		}
-		if bestJ >= 0 {
-			return best, true
-		}
+		s.skipPairs(i, cols[:bestK], before, rng)
+		best := s.drawPair(i, bestJ, rng)
+		s.skipPairs(i, cols[bestK+1:], after, rng)
+		return best, true
 	}
 	return Measurement{}, false
 }
@@ -845,7 +934,7 @@ func (s *Selector) selectExplore(fill, need []int, has func(i, j int) bool, pend
 				if s.memo(i, j).v < 0 && s.memo(j, i).v < 0 {
 					continue
 				}
-				m := s.drawPair(i, j, true, rng)
+				m := s.drawPair(i, j, rng)
 				m.Exploration = true
 				s.explored[i*n+j] = true
 				perRow[i]++

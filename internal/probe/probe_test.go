@@ -408,8 +408,9 @@ type countingSource struct {
 func (c *countingSource) Int63() int64 { c.draws++; return c.Source.Int63() }
 
 // TestSkipDrawsMatchRNG checks that the replay path advances the stream
-// exactly as the draws it stands in for: skipIntn as rng.Intn(n), skipVP
-// as pickVP on a category of n VPs. skipIntn relies on math/rand (v1)
+// exactly as the draws it stands in for: skipIntn as rng.Intn(n), skipFrom
+// as pickVP on a category of n VPs followed by a target's Intn, and each
+// category's draw count as pickVP's. skipIntn relies on math/rand (v1)
 // keeping Int31n's rejection loop, frozen by the Go 1 compatibility
 // promise; if that ever changed, this test would fail first.
 func TestSkipDrawsMatchRNG(t *testing.T) {
@@ -417,10 +418,10 @@ func TestSkipDrawsMatchRNG(t *testing.T) {
 		src := &countingSource{Source: rand.NewSource(int64(n))}
 		want, got := rand.New(src), rand.New(rand.NewSource(int64(n)))
 		const reps = 20000
-		lim := int31nLim(n)
+		accept := intnBound(n)
 		for k := 0; k < reps; k++ {
 			want.Intn(n)
-			skipIntn(got, lim)
+			skipIntn(got, accept)
 		}
 		if want.Int63() != got.Int63() {
 			t.Fatalf("n=%d: skipIntn diverged from Intn", n)
@@ -435,13 +436,21 @@ func TestSkipDrawsMatchRNG(t *testing.T) {
 			vps[k], own[k] = VP{AS: k, Metro: 0}, int32(k)
 		}
 		s := NewSelector(probeGraph(), 0, []int{1, 2}, vps, nil)
-		vc := &vpCat{n: n, lim: lim, own: own}
+		cat := newVPCat(0, n, own, nil, nil)
+		vc := &cat
+		tc := &tgtCat{accept: intnBound(3)}
 		for k := 0; k < 1000; k++ {
 			s.pickVP(vc, 0, want)
-			skipVP(vc, got)
+			want.Intn(3)
+			skipFrom(vc, tc, 0, got)
 		}
 		if want.Int63() != got.Int63() {
-			t.Fatalf("n=%d: skipVP diverged from pickVP", n)
+			t.Fatalf("n=%d: skipFrom diverged from pickVP and Intn", n)
+		}
+		src.draws = 0
+		s.pickVP(vc, 0, want)
+		if src.draws != vc.draws && n < 1<<20 {
+			t.Fatalf("n=%d: pickVP made %d draws, the category says %d", n, src.draws, vc.draws)
 		}
 	}
 }

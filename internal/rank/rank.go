@@ -104,7 +104,7 @@ type Result struct {
 
 // Estimate runs the iterative loop over the estimated matrix E/mask (which
 // topUp mutates as measurements land). features may be nil.
-func Estimate(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, topUp TopUpFunc, cfg Config) Result {
+func Estimate(E mat.View, mask *mat.Mask, features *mat.Matrix, topUp TopUpFunc, cfg Config) Result {
 	if cfg.MaxRank < 1 {
 		cfg.MaxRank = 1
 	}

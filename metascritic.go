@@ -102,12 +102,14 @@ type Calibration struct {
 	FoundLink   bool // an existing link was revealed
 	FoundNon    bool // non-existence evidence was revealed
 	Exploration bool
-	// Measurement details, for analysis.
+	// Measurement details, for analysis. Strat's four bytes share the
+	// flags' word, keeping the record at 64 bytes: every Result keeps
+	// one per measurement.
+	Strat  probe.Strategy
 	VP     probe.VP
 	Target probe.Target
 	LinkI  int
 	LinkJ  int
-	Strat  probe.Strategy
 }
 
 // PhaseTimings records wall-clock spent in each phase of a metro run, plus
@@ -384,7 +386,7 @@ func (p *Pipeline) Snapshot() *Pipeline {
 // CompleteWith re-runs the hybrid completion with explicit hyperparameters
 // (used by the evaluation splits to replay a result's configuration over a
 // reduced mask).
-func CompleteWith(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, rank int, lambda, featureWeight float64) *mat.Matrix {
+func CompleteWith(E mat.View, mask *mat.Mask, features *mat.Matrix, rank int, lambda, featureWeight float64) *mat.Matrix {
 	return als.Complete(E, mask, features, als.Options{
 		Rank:          rank,
 		Lambda:        lambda,
@@ -398,7 +400,7 @@ func CompleteWith(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, rank int,
 // observation set — the evaluation-split primitive. The removals are
 // applied as an overlay, so the caller's mask is never cloned or mutated,
 // and the result is bit-identical to unsetting the entries from a copy.
-func CompleteWithout(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, holdout [][2]int, rank int, lambda, featureWeight float64) *mat.Matrix {
+func CompleteWithout(E mat.View, mask *mat.Mask, features *mat.Matrix, holdout [][2]int, rank int, lambda, featureWeight float64) *mat.Matrix {
 	if featureWeight <= 0 {
 		features = nil
 	}

@@ -67,7 +67,8 @@ type metroPass struct {
 	res      *Result
 	est      *obs.Estimate
 	features *mat.Matrix
-	rng      *rand.Rand
+	stream   *probe.Stream // the pass's one RNG: rand.NewSource(cfg.Seed)'s values
+	rng      *rand.Rand    // stream.Rand()
 	clock    phaseClock
 }
 
@@ -93,7 +94,8 @@ func (p *Pipeline) startPass(ctx context.Context, metro int, cfg Config, op stri
 	// legacy-scale results stay byte-identical.
 	members := probe.TopMembers(g, g.Metros[metro].Members, cfg.MaxMetroMembers)
 	ps.res = &Result{Metro: metro, Members: members}
-	ps.rng = rand.New(rand.NewSource(cfg.Seed))
+	ps.stream = probe.NewStream(cfg.Seed)
+	ps.rng = ps.stream.Rand()
 	ps.clock.span(&ps.res.Timings.Estimate, func() {
 		ps.est = p.Store.Estimate(metro, members, cfg.NegPolicy)
 	})
@@ -166,6 +168,7 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 	members := res.Members
 
 	sel := probe.NewSelector(p.World.G, metro, members, p.VPs(), p.Hitlist)
+	sel.UseStream(ps.stream)
 	boot := cfg.BootstrapPerStrategy
 	if cfg.Priors != nil {
 		sel.InitPriors(*cfg.Priors, priorWeight)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"metascritic/internal/bgp"
+	"metascritic/internal/mat"
 	"metascritic/internal/netsim"
 	"metascritic/internal/obs"
 )
@@ -147,16 +148,9 @@ func TestRescoreMatchesColdRerun(t *testing.T) {
 	}
 	t.Logf("incremental %v vs cold %v (%.1f%%)", incWall, coldWall, 100*float64(incWall)/float64(coldWall))
 
-	// Byte-identical estimates: same dense data, same mask.
+	// Byte-identical estimates: same value in every cell, same mask.
 	ie, ce := inc.Estimate, cold.Estimate
-	if len(ie.E.Data) != len(ce.E.Data) {
-		t.Fatalf("estimate sizes differ: %d vs %d", len(ie.E.Data), len(ce.E.Data))
-	}
-	for k := range ie.E.Data {
-		if ie.E.Data[k] != ce.E.Data[k] {
-			t.Fatalf("estimate data diverges at %d: %v vs %v", k, ie.E.Data[k], ce.E.Data[k])
-		}
-	}
+	requireSameCells(t, ie.E, ce.E)
 	if ie.Mask.Count() != ce.Mask.Count() {
 		t.Fatalf("mask counts differ: %d vs %d", ie.Mask.Count(), ce.Mask.Count())
 	}
@@ -240,9 +234,7 @@ func TestRescorePrunedMetro(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold Run: %v", err)
 	}
-	if !slices.Equal(inc.Estimate.E.Data, cold.Estimate.E.Data) {
-		t.Fatalf("estimate data differs from a capped cold rerun")
-	}
+	requireSameCells(t, inc.Estimate.E, cold.Estimate.E)
 	im, cm := inc.Estimate.Mask, cold.Estimate.Mask
 	if im.N() != cm.N() || im.Count() != cm.Count() {
 		t.Fatalf("masks differ: n %d vs %d, count %d vs %d", im.N(), cm.N(), im.Count(), cm.Count())
@@ -393,6 +385,22 @@ func BenchmarkIncrementalRescore(b *testing.B) {
 		b.ReportMetric(ratio, "inc/cold-ratio")
 		if ratio > 0.25 {
 			b.Errorf("incremental re-score took %.0f%% of the cold rerun, want < 25%%", 100*ratio)
+		}
+	}
+}
+
+// requireSameCells fails unless two estimates' E have the same size and
+// the same value in every one of their n² cells.
+func requireSameCells(t *testing.T, got, want *mat.Sparse) {
+	t.Helper()
+	if got.N() != want.N() {
+		t.Fatalf("estimate sizes differ: %d vs %d", got.N(), want.N())
+	}
+	for i := 0; i < got.N(); i++ {
+		for j := 0; j < got.N(); j++ {
+			if g, w := got.At(i, j), want.At(i, j); g != w {
+				t.Fatalf("estimate data diverges at (%d,%d): %v vs %v", i, j, g, w)
+			}
 		}
 	}
 }
