@@ -31,9 +31,9 @@ type ExportLink struct {
 // ExportContext converts a result into its serializable form, including
 // every link whose rating clears minRating (measured links always
 // included). Unlike Export it reports problems instead of exporting
-// garbage: a nil or incomplete result, a NaN cutoff, or a ratings matrix
-// that lost its symmetry invariant (C_m is symmetric by construction; an
-// asymmetric matrix means the result was corrupted in transit).
+// garbage: a nil or incomplete result, a NaN cutoff, or a ratings triangle
+// that does not cover the result's members (C_m is stored as one triangle
+// over them; any other size means the result was corrupted in transit).
 func (p *Pipeline) ExportContext(ctx context.Context, res *Result, minRating float64) (Export, error) {
 	if err := ctx.Err(); err != nil {
 		return Export{}, fmt.Errorf("metascritic: export: %w", err)
@@ -47,14 +47,9 @@ func (p *Pipeline) ExportContext(ctx context.Context, res *Result, minRating flo
 	if res.Metro < 0 || res.Metro >= len(p.World.G.Metros) {
 		return Export{}, fmt.Errorf("metascritic: export: %w: metro index %d out of range", ErrInvalidConfig, res.Metro)
 	}
-	n := len(res.Members)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if d := res.Ratings.At(i, j) - res.Ratings.At(j, i); d > 1e-9 || d < -1e-9 {
-				return Export{}, fmt.Errorf("metascritic: export: ratings asymmetric at (%d,%d): %v vs %v",
-					i, j, res.Ratings.At(i, j), res.Ratings.At(j, i))
-			}
-		}
+	if n := len(res.Members); res.Ratings.N() != n || len(res.Ratings.Data) != n*(n+1)/2 {
+		return Export{}, fmt.Errorf("metascritic: export: ratings triangle holds %d values for %d members, want %d",
+			len(res.Ratings.Data), n, n*(n+1)/2)
 	}
 	return p.Export(res, minRating), nil
 }

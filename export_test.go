@@ -75,18 +75,18 @@ func TestExportContext(t *testing.T) {
 		t.Fatalf("cancelled ctx: got %v, want context.Canceled", err)
 	}
 
-	// A corrupted (asymmetric) ratings matrix must be rejected, and the
-	// check must not mutate the caller's result.
+	// A corrupted ratings triangle (one that does not cover the members)
+	// must be rejected, and the check must not mutate the caller's result.
 	bad := *res
-	bad.Ratings = &mat.Matrix{
-		Rows: res.Ratings.Rows,
-		Cols: res.Ratings.Cols,
-		Data: append([]float64(nil), res.Ratings.Data...),
-	}
-	bad.Ratings.Set(0, 1, bad.Ratings.At(0, 1)+1)
+	n := len(res.Members)
+	bad.Ratings = mat.NewSym(n - 1)
+	copy(bad.Ratings.Data, res.Ratings.Data)
 	if _, err := p.ExportContext(ctx, &bad, 0.5); err == nil {
-		t.Fatalf("asymmetric ratings accepted")
+		t.Fatalf("ratings triangle of %d members accepted for %d", n-1, n)
 	} else if errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("asymmetry is corruption, not misconfiguration: %v", err)
+		t.Fatalf("a mis-sized triangle is corruption, not misconfiguration: %v", err)
+	}
+	if res.Ratings.N() != n {
+		t.Fatalf("ExportContext mutated the caller's ratings")
 	}
 }

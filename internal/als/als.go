@@ -91,13 +91,14 @@ func clip(v, lo, hi float64) float64 {
 	return v
 }
 
-// holdoutMSEProblem scores one holdout on an already-built problem.
+// holdoutMSEProblem scores one holdout on an already-built problem,
+// reading only the held-out cells of the fit.
 func holdoutMSEProblem(p *Problem, E mat.View, ov *mat.Overlay, holdout [][2]int, opts Options) float64 {
-	completed := p.Complete(opts, ov)
+	fa := p.Fit(opts, ov, nil)
 	var se float64
 	cnt := 0
 	for _, h := range holdout {
-		d := completed.At(h[0], h[1]) - E.At(h[0], h[1])
+		d := fa.Rating(h[0], h[1]) - E.At(h[0], h[1])
 		se += d * d
 		cnt++
 	}

@@ -3,6 +3,7 @@ package als
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"metascritic/internal/mat"
@@ -224,5 +225,55 @@ func TestNormalizeColumns(t *testing.T) {
 	// Original untouched.
 	if m.At(0, 0) != 0 {
 		t.Fatalf("normalizeColumns mutated input")
+	}
+}
+
+// TestFitRatingMatchesComplete requires Fit's factors, read cell by cell
+// through Rating and whole through the Ratings triangle, to equal
+// CompleteFactors's dense matrix bit for bit: cold and warm starts, with
+// and without features, and with a holdout overlay.
+func TestFitRatingMatchesComplete(t *testing.T) {
+	n := 30
+	truth := lowRankMatrix(n, 3, 5)
+	rng := rand.New(rand.NewSource(6))
+	mask := maskFraction(n, 0.3, rng)
+	features := mat.New(n, 4)
+	for i := range features.Data {
+		features.Data[i] = rng.NormFloat64()
+	}
+	ov := mat.NewOverlay(mask)
+	mask.Entries(func(i, j int) {
+		if rng.Intn(5) == 0 {
+			ov.Remove(i, j)
+		}
+	})
+	for _, feat := range []*mat.Matrix{nil, features} {
+		p := NewProblem(truth, mask, feat)
+		var warm *Factors
+		for _, holdout := range []*mat.Overlay{nil, ov} {
+			for rank := 1; rank <= 4; rank++ {
+				opts := DefaultOptions(rank)
+				dense, fa := p.CompleteFactors(opts, holdout, warm)
+				if fit := p.Fit(opts, holdout, warm); !slices.Equal(fit.P.Data, fa.P.Data) || !slices.Equal(fit.Q.Data, fa.Q.Data) {
+					t.Fatalf("rank %d: Fit's factors differ from CompleteFactors's", rank)
+				}
+				tri := p.Ratings(fa)
+				if tri.N() != n {
+					t.Fatalf("rank %d: triangle of %d rows for %d", rank, tri.N(), n)
+				}
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						want := math.Float64bits(dense.At(i, j))
+						if got := math.Float64bits(fa.Rating(i, j)); got != want {
+							t.Fatalf("rank %d: Rating(%d,%d) = %v, dense %v", rank, i, j, fa.Rating(i, j), dense.At(i, j))
+						}
+						if got := math.Float64bits(tri.At(i, j)); got != want {
+							t.Fatalf("rank %d: triangle (%d,%d) = %v, dense %v", rank, i, j, tri.At(i, j), dense.At(i, j))
+						}
+					}
+				}
+				warm = fa
+			}
+		}
 	}
 }

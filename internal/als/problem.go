@@ -105,14 +105,27 @@ func (p *Problem) Complete(opts Options, holdout *mat.Overlay) *mat.Matrix {
 	return out
 }
 
-// CompleteFactors is Complete plus warm-start control: when warm is non-nil
-// and dimensionally compatible, the factor matrices are initialized from it
-// — the first min(k, warm.Rank()) columns are copied, and any new columns
-// are filled with small noise drawn from a rand.Rand seeded with opts.Seed
-// (row-major, P then Q per row — the order is part of the determinism
-// contract). A nil warm reproduces the historical cold initialization
-// exactly. The returned Factors are freshly allocated each call.
+// CompleteFactors is Fit followed by the dense n×n completion of the AS
+// block: the symmetrized rating product clipped to [-1, 1].
 func (p *Problem) CompleteFactors(opts Options, holdout *mat.Overlay, warm *Factors) (*mat.Matrix, *Factors) {
+	fa := p.Fit(opts, holdout, warm)
+	return p.reconstruct(fa), fa
+}
+
+// Fit solves the problem at the given options, with holdout (optional, may
+// be nil) applied as per-row removals, and returns the factor matrices.
+// When warm is non-nil and dimensionally compatible, the factors are
+// initialized from it — the first min(k, warm.Rank()) columns are copied,
+// and any new columns are filled with small noise drawn from a rand.Rand
+// seeded with opts.Seed (row-major, P then Q per row — the order is part
+// of the determinism contract). A nil warm reproduces the historical cold
+// initialization exactly. The returned Factors are freshly allocated each
+// call.
+//
+// Callers that read only a few cells of the completion (a holdout's
+// entries) read them through Factors.Rating instead of building the n×n
+// matrix.
+func (p *Problem) Fit(opts Options, holdout *mat.Overlay, warm *Factors) *Factors {
 	n, f := p.n, p.f
 	dim := n + f
 	k := opts.Rank
@@ -156,8 +169,7 @@ func (p *Problem) CompleteFactors(opts Options, holdout *mat.Overlay, warm *Fact
 		p.solveSide(holdout, Q, P, opts.Lambda, fw) // fix Q, solve P rows
 		p.solveSide(holdout, P, Q, opts.Lambda, fw) // fix P, solve Q rows
 	}
-
-	return p.reconstruct(P, Q, k), &Factors{P: P, Q: Q}
+	return &Factors{P: P, Q: Q}
 }
 
 // solverScratch is one row solve's normal-equation workspace, pooled across
@@ -279,28 +291,57 @@ func (p *Problem) solveRow(i int, obs []observation, fixed *mat.Matrix, out []fl
 	copy(out, sc.sol)
 }
 
-// reconstruct forms the symmetrized rating product restricted to the AS
-// block, clipped to [-1, 1]. The O(n²·k) loop is partitioned by row
-// through par.For: row i writes the pairs (i, j≥i) and their mirrors, so
-// every pair is computed exactly once and the output is bit-identical to
-// the sequential loop.
-func (p *Problem) reconstruct(P, Q *mat.Matrix, k int) *mat.Matrix {
+// Rating returns cell (i, j) of the completion, clipped to [-1, 1]: the
+// value the dense completion (CompleteFactors) and the triangle (Ratings)
+// hold at (i, j) and at (j, i), bit for bit. i and j index the AS block.
+func (fa *Factors) Rating(i, j int) float64 {
+	if i > j {
+		i, j = j, i
+	}
+	return rating(fa.P.Row(i), fa.Q.Row(i), fa.P.Row(j), fa.Q.Row(j))
+}
+
+// rating is the symmetrized product of rows i <= j of the factors,
+// clipped to [-1, 1]. Every completion cell is computed here, so the dense
+// matrix, the triangle and Factors.Rating agree bit for bit.
+func rating(pi, qi, pj, qj []float64) float64 {
+	var a, b float64
+	for d := range pi {
+		a += pi[d] * qj[d]
+		b += pj[d] * qi[d]
+	}
+	return clip((a+b)/2, -1, 1)
+}
+
+// reconstruct forms the dense completion of the AS block. The O(n²·k)
+// loop is partitioned by row through par.For: row i writes the pairs
+// (i, j≥i) and their mirrors, so every pair is computed exactly once and
+// the output is bit-identical to the sequential loop.
+func (p *Problem) reconstruct(fa *Factors) *mat.Matrix {
 	n := p.n
 	out := mat.New(n, n)
 	par.For(n, 0, func(_, i int) {
-		pi := P.Row(i)
-		qi := Q.Row(i)
+		pi, qi := fa.P.Row(i), fa.Q.Row(i)
 		for j := i; j < n; j++ {
-			pj := P.Row(j)
-			qj := Q.Row(j)
-			var a, b float64
-			for d := 0; d < k; d++ {
-				a += pi[d] * qj[d]
-				b += pj[d] * qi[d]
-			}
-			v := clip((a+b)/2, -1, 1)
+			v := rating(pi, qi, fa.P.Row(j), fa.Q.Row(j))
 			out.Set(i, j, v)
 			out.Set(j, i, v)
+		}
+	})
+	return out
+}
+
+// Ratings forms the completion of the AS block as one triangle: the cells
+// CompleteFactors's dense matrix holds, at half its bytes. Rows are
+// filled through par.For, each writing only its own stored cells.
+func (p *Problem) Ratings(fa *Factors) *mat.Sym {
+	out := mat.NewSym(p.n)
+	par.For(p.n, 0, func(_, i int) {
+		pi, qi := fa.P.Row(i), fa.Q.Row(i)
+		row := out.Row(i)
+		for c := range row {
+			j := i + c
+			row[c] = rating(pi, qi, fa.P.Row(j), fa.Q.Row(j))
 		}
 	})
 	return out

@@ -339,34 +339,40 @@ func (s *Server) handlePeers(w http.ResponseWriter, r *http.Request) {
 		k = 200
 	}
 
+	// Row i of E is walked alongside the members (E's support is the
+	// mask, so a stored cell is an observed pair), and only the best k
+	// entries are kept, in response order: score descending, then ASN.
 	g := st.Pipe.World.G
-	peers := make([]peerEntry, 0, len(res.Members)-1)
+	cols, vals := res.Estimate.E.Row(i)
+	peers := make([]peerEntry, 0, min(k, len(res.Members)-1))
 	for j, bj := range res.Members {
 		if j == i {
 			continue
 		}
 		e := peerEntry{ASN: g.ASes[bj].ASN}
-		if v, obs := res.Estimate.Value(res.Members[i], bj); obs {
+		for len(cols) > 0 && int(cols[0]) < j {
+			cols, vals = cols[1:], vals[1:]
+		}
+		if len(cols) > 0 && int(cols[0]) == j {
 			e.Measured = true
-			e.Link = v > 0
+			e.Link = vals[0] > 0
 			e.Score = 1
-			if v <= 0 {
+			if vals[0] <= 0 {
 				e.Score = 0 // measured non-link: certain, but not a peer
 			}
 		} else {
 			e.Score = res.Ratings.At(i, j)
 			e.Link = e.Score >= res.Threshold
 		}
-		peers = append(peers, e)
-	}
-	sort.Slice(peers, func(a, b int) bool {
-		if peers[a].Score != peers[b].Score {
-			return peers[a].Score > peers[b].Score
+		if len(peers) == k && !peerBefore(e, peers[k-1]) {
+			continue
 		}
-		return peers[a].ASN < peers[b].ASN
-	})
-	if len(peers) > k {
-		peers = peers[:k]
+		pos := sort.Search(len(peers), func(x int) bool { return peerBefore(e, peers[x]) })
+		if len(peers) < k {
+			peers = append(peers, peerEntry{})
+		}
+		copy(peers[pos+1:], peers[pos:])
+		peers[pos] = e
 	}
 	writeJSON(w, http.StatusOK, peersResponse{
 		Metro:     st.Metro(r.PathValue("metro")).Name,
@@ -375,6 +381,15 @@ func (s *Server) handlePeers(w http.ResponseWriter, r *http.Request) {
 		Threshold: res.Threshold,
 		Peers:     peers,
 	})
+}
+
+// peerBefore reports whether a precedes b in a peers response: higher
+// score first, then lower ASN.
+func peerBefore(a, b peerEntry) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.ASN < b.ASN
 }
 
 func (s *Server) handleConsistency(w http.ResponseWriter, r *http.Request) {

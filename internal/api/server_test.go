@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,9 @@ import (
 
 	"metascritic"
 	"metascritic/internal/api/snapshot"
+	"metascritic/internal/mat"
+	"metascritic/internal/obs"
+	"metascritic/internal/probe"
 )
 
 // testFixture builds a small served world once per test binary: worlds
@@ -448,6 +452,112 @@ func BenchmarkEstimateHandler(b *testing.B) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != 200 {
 			b.Fatal(rec.Code)
+		}
+	}
+}
+
+// fullSortPeers is the peers response computed the long way: every other
+// member's entry, found through Estimate.Value, in a full sort by score
+// descending, then ASN, cut to k.
+func fullSortPeers(st *State, res *metascritic.Result, metro string, asn, i, k int) peersResponse {
+	g := st.Pipe.World.G
+	var peers []peerEntry
+	for j, bj := range res.Members {
+		if j == i {
+			continue
+		}
+		e := peerEntry{ASN: g.ASes[bj].ASN}
+		if v, obs := res.Estimate.Value(res.Members[i], bj); obs {
+			e.Measured, e.Link, e.Score = true, v > 0, 1
+			if v <= 0 {
+				e.Score = 0
+			}
+		} else {
+			e.Score = res.Ratings.At(i, j)
+			e.Link = e.Score >= res.Threshold
+		}
+		peers = append(peers, e)
+	}
+	sort.Slice(peers, func(a, b int) bool {
+		if peers[a].Score != peers[b].Score {
+			return peers[a].Score > peers[b].Score
+		}
+		return peers[a].ASN < peers[b].ASN
+	})
+	k = min(k, 200)
+	if len(peers) > k {
+		peers = peers[:k]
+	}
+	return peersResponse{Metro: metro, ASN: asn, K: k, Threshold: res.Threshold, Peers: peers}
+}
+
+// TestPeersMatchFullSort requires the peers handler's top-k walk to answer
+// byte for byte what a full sort of every member gives, for every member
+// of the served metro and k of 1, 20, 200 and the member count.
+func TestPeersMatchFullSort(t *testing.T) {
+	s := testServer(t, Options{})
+	h := s.Handler()
+	st := s.State()
+	m := st.Metro(fixture.metro)
+	res := st.Results[m.Index]
+	n := len(res.Members)
+	measured := 0
+	for i, ai := range res.Members {
+		asn := st.Pipe.World.G.ASes[ai].ASN
+		for _, k := range []int{1, 20, 200, n} {
+			want := httptest.NewRecorder()
+			ref := fullSortPeers(st, res, m.Name, asn, i, k)
+			writeJSON(want, http.StatusOK, ref)
+			_, got := get(t, h, fmt.Sprintf("/v1/peers/%s/%d?k=%d", fixture.metro, asn, k))
+			if got != want.Body.String() {
+				t.Fatalf("AS%d k=%d: peers body differs from the full sort:\n got:  %s\n want: %s", asn, k, got, want.Body.String())
+			}
+			for _, e := range ref.Peers {
+				if e.Measured {
+					measured++
+				}
+			}
+		}
+	}
+	if measured == 0 {
+		t.Fatalf("no measured peer in any response: the E-row walk is untested")
+	}
+}
+
+// BenchmarkPeersHandler times one top-20 peers request at a head metro of
+// a 10k-AS world: 805 members, with 1% of the pairs observed and random
+// ratings elsewhere (the handler reads no more than that).
+func BenchmarkPeersHandler(b *testing.B) {
+	cfg := metascritic.WorldConfig{Seed: 1, Metros: metascritic.InternetMetros(10000)}
+	w := metascritic.GenerateWorld(cfg)
+	p := metascritic.NewPipeline(w)
+	metro := w.PrimaryMetros()[0]
+	members := probe.TopMembers(w.G, w.G.Metros[metro].Members, metascritic.DefaultConfig().MaxMetroMembers)
+	n := len(members)
+	rng := rand.New(rand.NewSource(1))
+	est := p.Store.Estimate(metro, members, obs.NegMetascritic)
+	for k := 0; k < n*n/200; k++ {
+		if i, j := rng.Intn(n), rng.Intn(n); i != j {
+			est.Set(i, j, float64(rng.Intn(2)*2-1))
+		}
+	}
+	ratings := mat.NewSym(n)
+	for k := range ratings.Data {
+		ratings.Data[k] = 2*rng.Float64() - 1
+	}
+	res := &metascritic.Result{Metro: metro, Members: members, Estimate: est, Ratings: ratings, Rank: 1, Threshold: 0.5}
+	s := NewServer(p, map[int]*metascritic.Result{metro: res}, Options{WorldCfg: cfg})
+	h := s.Handler()
+	path := fmt.Sprintf("/v1/peers/%s/%d?k=20", w.G.Metros[metro].Name, w.G.ASes[members[n/2]].ASN)
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	b.Logf("%d members", n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			b.Fatalf("peers: %d %s", rec.Code, rec.Body.String())
 		}
 	}
 }

@@ -264,7 +264,7 @@ func appendResult(b []byte, r *metascritic.Result) []byte {
 	for _, v := range r.StrategyRates {
 		b = appendF64(b, v)
 	}
-	b = appendMatrix(b, r.Ratings.Rows, r.Ratings.Cols, r.Ratings)
+	b = appendMatrix(b, r.Ratings.N(), r.Ratings.N(), r.Ratings)
 	n := r.Estimate.E.N()
 	b = appendMatrix(b, n, n, r.Estimate.E)
 	b = appendMask(b, r.Estimate.Mask)
@@ -272,7 +272,8 @@ func appendResult(b []byte, r *metascritic.Result) []byte {
 }
 
 // appendMatrix writes a rows×cols matrix densely, row-major: the sparse
-// estimate E is written with its zeros, as a dense one always was.
+// estimate E is written with its zeros and the ratings triangle with both
+// mirrors of every cell, as dense matrices always were.
 func appendMatrix(b []byte, rows, cols int, m mat.View) []byte {
 	b = binary.AppendUvarint(b, uint64(rows))
 	b = binary.AppendUvarint(b, uint64(cols))
@@ -477,14 +478,14 @@ func (d *decoder) result() *metascritic.Result {
 	for i := range r.StrategyRates {
 		r.StrategyRates[i] = d.f64("strategy rate")
 	}
-	r.Ratings = d.matrix("ratings")
+	r.Ratings = d.sym("ratings")
 	e := d.matrix("estimate E")
 	mask := d.mask("estimate mask")
 	if d.err != nil {
 		return r
 	}
 	n := len(r.Members)
-	if r.Ratings.Rows != n || r.Ratings.Cols != n || e.Rows != n || e.Cols != n || mask.N() != n {
+	if r.Ratings.N() != n || e.Rows != n || e.Cols != n || mask.N() != n {
 		d.fail("metro %d: matrix dimensions disagree with %d members", r.Metro, n)
 		return r
 	}
@@ -521,6 +522,38 @@ func (d *decoder) matrix(what string) *mat.Matrix {
 	m := mat.New(rows, cols)
 	for i := range m.Data {
 		m.Data[i] = d.f64(what + " entry")
+	}
+	return m
+}
+
+// sym decodes a dense symmetric matrix onto its upper triangle. A cell
+// below the diagonal must repeat its mirror bit for bit: the encoder
+// writes both from one stored value, so any difference is corruption.
+func (d *decoder) sym(what string) *mat.Sym {
+	rows := d.uint(what + " rows")
+	cols := d.uint(what + " cols")
+	if d.err != nil {
+		return mat.NewSym(0)
+	}
+	if rows != cols {
+		d.fail("%s is %dx%d, not square", what, rows, cols)
+		return mat.NewSym(0)
+	}
+	if rows > maxPayload/8 || (rows != 0 && rows > len(d.data)/(8*rows)) {
+		d.fail("%s dimensions %dx%d exceed remaining input", what, rows, cols)
+		return mat.NewSym(0)
+	}
+	m := mat.NewSym(rows)
+	for i := 0; i < rows && d.err == nil; i++ {
+		for j := 0; j < rows && d.err == nil; j++ {
+			v := d.f64(what + " entry")
+			if j >= i {
+				m.Set(i, j, v)
+			} else if math.Float64bits(v) != math.Float64bits(m.At(i, j)) {
+				d.fail("%s cell (%d,%d) = %v differs from its mirror %v", what, i, j, v, m.At(i, j))
+				return m
+			}
+		}
 	}
 	return m
 }

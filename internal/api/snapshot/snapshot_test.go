@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -252,6 +253,34 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	binary.LittleEndian.PutUint64(mut[10:], 1<<40)
 	if _, err := Decode(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("huge length: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestDecodeRejectsAsymmetricRatings pins that the ratings, stored as one
+// triangle, decode only from a dense matrix whose every cell repeats its
+// mirror: a payload (checksum aside) where cell (1, 0) differs from (0, 1)
+// is corrupt.
+func TestDecodeRejectsAsymmetricRatings(t *testing.T) {
+	a := testArtifact(t)
+	// Give cell (0, 1) of metro 0's ratings a value found nowhere else in
+	// the payload: it is then encoded exactly twice, at the cell and at
+	// its mirror (1, 0), which comes later in row-major order.
+	const mark = 0.123456789012345
+	a.Results[0].Ratings.Set(0, 1, mark)
+	payload := appendPayload(nil, a)
+	if _, err := decodePayload(payload); err != nil {
+		t.Fatalf("symmetric payload rejected: %v", err)
+	}
+	enc := binary.LittleEndian.AppendUint64(nil, math.Float64bits(mark))
+	first := bytes.Index(payload, enc)
+	second := first + 8 + bytes.Index(payload[first+8:], enc)
+	if first < 0 || second < first+8 || bytes.Count(payload, enc) != 2 {
+		t.Fatalf("marked ratings cell encoded %d times, want 2", bytes.Count(payload, enc))
+	}
+	mut := append([]byte{}, payload...)
+	binary.LittleEndian.PutUint64(mut[second:], math.Float64bits(-mark))
+	if _, err := decodePayload(mut); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ratings cell differing from its mirror: got %v, want ErrCorrupt", err)
 	}
 }
 

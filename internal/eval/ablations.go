@@ -100,7 +100,7 @@ func AblationTransferability(h *Harness) ([]TransferAblationRow, *Table) {
 		features := metascritic.BuildFeatures(h.W.G, members)
 		scoreEst := func(est *obs.Estimate) float64 {
 			completed := metascritic.CompleteWith(est.E, est.Mask, features, res.Rank, res.Lambda, res.FeatureWeight)
-			scores, labels := h.truthLabels(res.Metro, completed)
+			scores, labels := h.truthLabels(res.Metro, completed.Rows, completed)
 			_, f := stats.BestF1Threshold(scores, labels)
 			return f
 		}

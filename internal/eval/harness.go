@@ -160,14 +160,13 @@ func (h *Harness) MetroName(m int) string { return h.W.G.Metros[m].Name }
 // TruthLabels extracts ground-truth labels and completed scores for all
 // member pairs of a result.
 func (h *Harness) TruthLabels(res *metascritic.Result) (scores []float64, labels []bool) {
-	return h.truthLabels(res.Metro, res.Ratings)
+	return h.truthLabels(res.Metro, res.Ratings.N(), res.Ratings)
 }
 
 // truthLabels pairs every upper-triangle entry of a metro's completed
-// member matrix with its ground-truth link label.
-func (h *Harness) truthLabels(metro int, completed *mat.Matrix) (scores []float64, labels []bool) {
+// n×n member matrix with its ground-truth link label.
+func (h *Harness) truthLabels(metro, n int, completed mat.View) (scores []float64, labels []bool) {
 	truth := h.W.Truths[metro]
-	n := completed.Rows
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			scores = append(scores, completed.At(i, j))

@@ -74,7 +74,11 @@ func (h *Harness) RunStrategy(metro int, picker baseline.Picker, budget, batchSi
 		store.AddTrace(h.P.Engine.Run(t[0], t[1], t[2]))
 	}
 	sel := probe.NewSelector(g, metro, members, h.P.VPs(), h.P.Hitlist)
-	rng := rand.New(rand.NewSource(seed))
+	// The stream's draws equal rand.NewSource(seed)'s; telling the
+	// selector lets it skip replayed draws in bulk.
+	stream := probe.NewStream(seed)
+	sel.UseStream(stream)
+	rng := stream.Rand()
 	est := store.Estimate(metro, members, obs.NegMetascritic)
 
 	run := &StrategyRun{Name: picker.Name()}
@@ -111,7 +115,7 @@ func (h *Harness) RunStrategy(metro int, picker baseline.Picker, budget, batchSi
 	// Completion and scoring against ground truth.
 	features := metascritic.BuildFeatures(g, members)
 	score := func(r int) (p, rec, f float64) {
-		scores, labels := h.truthLabels(metro, metascritic.CompleteWith(est.E, est.Mask, features, r, 0.08, 0.35))
+		scores, labels := h.truthLabels(metro, len(members), metascritic.CompleteWith(est.E, est.Mask, features, r, 0.08, 0.35))
 		thr, fbest := stats.BestF1Threshold(scores, labels)
 		c := stats.Confuse(scores, labels, thr)
 		return c.Precision(), c.Recall(), fbest

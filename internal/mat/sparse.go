@@ -44,6 +44,12 @@ func (s *Sparse) At(i, j int) float64 {
 	return v
 }
 
+// Row returns the stored columns of row i, sorted, and their values: views
+// (not copies) that the next Set or Unset on the row may invalidate.
+func (s *Sparse) Row(i int) (cols []int32, vals []float64) {
+	return s.cols[i], s.vals[i]
+}
+
 // Set stores v at (i, j), keeping row i sorted. A stored 0 still counts as
 // stored for Lookup.
 func (s *Sparse) Set(i, j int, v float64) {

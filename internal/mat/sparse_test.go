@@ -54,3 +54,40 @@ func TestSparseMatchesDense(t *testing.T) {
 		}
 	}
 }
+
+// TestSymMatchesDense writes random cells of a Sym and of a dense
+// symmetric reference (each write sets the cell and its mirror) and
+// compares every cell, both orientations, plus Row's view of the stored
+// part and the triangle's size.
+func TestSymMatchesDense(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(24)
+		s := NewSym(n)
+		ref := New(n, n)
+		if s.N() != n || len(s.Data) != n*(n+1)/2 {
+			t.Fatalf("seed %d: NewSym(%d) has N %d and %d values", seed, n, s.N(), len(s.Data))
+		}
+		for step := 0; step < 200 && n > 0; step++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			v := rng.NormFloat64()
+			s.Set(i, j, v)
+			ref.Set(i, j, v)
+			ref.Set(j, i, v)
+		}
+		for a := 0; a < n; a++ {
+			row := s.Row(a)
+			if len(row) != n-a {
+				t.Fatalf("seed %d: Row(%d) holds %d cells, want %d", seed, a, len(row), n-a)
+			}
+			for b := 0; b < n; b++ {
+				if got, want := s.At(a, b), ref.At(a, b); got != want {
+					t.Fatalf("seed %d: cell (%d,%d) = %v, want %v", seed, a, b, got, want)
+				}
+				if b >= a && row[b-a] != ref.At(a, b) {
+					t.Fatalf("seed %d: Row(%d)[%d] = %v, want %v", seed, a, b-a, row[b-a], ref.At(a, b))
+				}
+			}
+		}
+	}
+}

@@ -11,8 +11,12 @@
 //   - score(i, j) is RNG-free. It rates every (VP category, target
 //     category) strategy available to the ordered pair and returns the
 //     best P with its winning categories. Nothing changes a score between
-//     two Report calls, so SelectBatch scores each pair at most once per
-//     batch (an n×n memo stamped with a batch generation).
+//     two Report calls. A pair without penalties scores by its class
+//     alone: row i's VP signature (the keys and sizes of its VP
+//     categories) and row j's target signature, which hundreds of rows
+//     share at a large metro. So SelectBatch scores each class at most
+//     once per batch (a signature × signature memo stamped with a batch
+//     generation), and scores a penalized pair directly.
 //   - Once the scores name the winner, the RNG draws that evaluating the
 //     scanned pairs has always made — per orientation with a possible
 //     measurement, pickVP's 24 sampled Intn (categories above 24 VPs) and
@@ -21,14 +25,16 @@
 //     pair just advances the stream. With a Stream (UseStream) the pairs
 //     before the winner and those after it are each skipped in one scan of
 //     the stream's buffer; otherwise, and from any output a draw might
-//     reject, draw by draw (skipPairs).
+//     reject, draw by draw (skipPairs). A row whose scan finds no winner
+//     draws the same run at every later pick of the batch that leaves it
+//     alone, so with a Stream it is skipped whole, without a rescan.
 //
 // Exploration walks fill sums upward over rows bucketed by fill instead
 // of sorting all open pairs, and rows are ordered by a stable counting
-// sort. Per-pair state is dense where it is dense (entry penalties,
-// exploration marks, the score memo) and sparse where it is sparse: a
-// sorted (strategy, factor) list per penalized pair, and VP categories
-// that share one VP list per geo scope instead of copying it per row.
+// sort. Per-pair state is dense where it is dense (exploration marks) and
+// sparse where it is sparse: per row, sorted lists of its penalized
+// pairs, and VP categories that share one VP list per geo scope instead
+// of copying it per row.
 //
 // Byte-identity contract: for a given seed, every batch, every RNG draw
 // and every Measurement equals what the original per-pair selector
@@ -39,6 +45,7 @@ package probe
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -198,9 +205,23 @@ type stratPen struct {
 	f  float64
 }
 
-// pairScore memoizes score(i, j) for one SelectBatch call: the best P and
-// the winning VP and target category indices (v < 0: no possible
-// measurement). gen is the batch that computed it.
+// pairPen is the penalty state of the pair of a row and its column j: the
+// entry-wide factor of the unordered pair (1: none), and the penalized
+// strategies of the ordered pairs (row, j) and (j, row), each list sorted
+// by id (a missing strategy has factor 1). Row j keeps the mirror record,
+// with out and in swapped.
+type pairPen struct {
+	j       int32
+	entry   float64
+	out, in []stratPen
+}
+
+// noPen is the state of a pair without penalties.
+var noPen = pairPen{entry: 1}
+
+// pairScore is score(i, j): the best P and the winning VP and target
+// category indices (v < 0: no possible measurement). In the class memo,
+// gen is the batch that computed it.
 type pairScore struct {
 	p    float64
 	gen  uint32
@@ -231,12 +252,9 @@ type Selector struct {
 	// Per-entry penalties: repeated uninformative attempts at the same
 	// entry with the same strategy halve its probability (§3.3.2), and a
 	// milder entry-wide factor discourages cycling through strategies on
-	// an elusive link. penalty is keyed by the ORDERED pair (i*n+j) and
-	// lists its penalized strategies sorted by id (a missing strategy has
-	// factor 1); entryPenalty is dense by the unordered pair (i<j) with 0
-	// meaning no penalty (factor 1).
-	penalty      map[int][]stratPen
-	entryPenalty []float64
+	// an elusive link. penalties[i] lists the penalized pairs of row i,
+	// sorted by column, so a row scan walks them alongside its columns.
+	penalties [][]pairPen
 	// explored marks entries that spent their one exploration attempt
 	// (unordered, i<j).
 	explored []bool
@@ -260,11 +278,25 @@ type Selector struct {
 	vpCats  [][]vpCat
 	tgtCats [][]tgtCat
 
+	// Score classes, built on the first SelectBatch: vsig[i] numbers row
+	// i's VP signature and tsig[j] row j's target signature, among nts
+	// target signatures.
+	vsig, tsig []int32
+	nts        int
+	// coneMark marks the customer cone of the row vpCategories is
+	// building: AS a is in it when coneMark[a] == coneEpoch.
+	coneMark  []uint32
+	coneEpoch uint32
+
 	// Batch-scoped scratch, reused across SelectBatch calls (one Selector
-	// serves one goroutine). scores is the n×n score memo; an entry is
-	// valid while its gen equals gen, which every batch advances.
-	scores        []pairScore
+	// serves one goroutine). classScores is the class memo, indexed by
+	// vsig*nts+tsig; an entry is valid while its gen equals gen, which
+	// every batch advances. dead[i] is the draw run of row i's last
+	// exploit scan that found no winner, valid while deadGen[i] == gen.
+	classScores   []pairScore
 	gen           uint32
+	dead          []drawRun
+	deadGen       []uint32
 	fillScratch   []int
 	pendingMark   []bool // n×n: entry already chosen in this batch
 	perRowScratch []int  // explorations per row in this batch
@@ -281,6 +313,10 @@ type Selector struct {
 	// stream, when set, is the source behind the *rand.Rand the caller
 	// passes; skipPairs scans it directly (UseStream).
 	stream *Stream
+
+	// deadSkips counts dead-row skips, and deadRescans those of them that
+	// stopped at an output a draw might reject (observed by tests).
+	deadSkips, deadRescans int
 }
 
 // NewSelector builds a selector for a metro over the given members, probes
@@ -288,18 +324,17 @@ type Selector struct {
 func NewSelector(g *asgraph.Graph, metro int, members []int, vps []VP, hitlist []int) *Selector {
 	n := len(members)
 	s := &Selector{
-		G:            g,
-		Metro:        metro,
-		Members:      members,
-		Index:        make(map[int]int, n),
-		vps:          vps,
-		hitlist:      map[int]bool{},
-		penalty:      map[int][]stratPen{},
-		entryPenalty: make([]float64, n*n),
-		explored:     make([]bool, n*n),
-		vpScore:      make([][]vpCount, n),
-		vpCats:       make([][]vpCat, n),
-		tgtCats:      make([][]tgtCat, n),
+		G:         g,
+		Metro:     metro,
+		Members:   members,
+		Index:     make(map[int]int, n),
+		vps:       vps,
+		hitlist:   map[int]bool{},
+		penalties: make([][]pairPen, n),
+		explored:  make([]bool, n*n),
+		vpScore:   make([][]vpCount, n),
+		vpCats:    make([][]vpCat, n),
+		tgtCats:   make([][]tgtCat, n),
 	}
 	for i, as := range members {
 		s.Index[as] = i
@@ -411,7 +446,16 @@ func (s *Selector) vpCategories(i int) []vpCat {
 	}
 	s.indexVPs()
 	asI := s.Members[i]
-	cone := s.G.CustomerCone(asI)
+	if s.coneMark == nil {
+		s.coneMark = make([]uint32, s.G.N())
+	}
+	if s.coneEpoch++; s.coneEpoch == 0 {
+		clear(s.coneMark)
+		s.coneEpoch = 1
+	}
+	for _, a := range s.G.CustomerCone(asI) {
+		s.coneMark[a] = s.coneEpoch
+	}
 	cats := []vpCat{}
 	for geo, all := range s.geoVPs {
 		var inAS, inCone, ex []int32
@@ -421,7 +465,7 @@ func (s *Selector) vpCategories(i int) []vpCat {
 			as := s.vps[vi].AS
 			if as == asI {
 				inAS = append(inAS, vi)
-			} else if _, ok := slices.BinarySearch(cone, int32(as)); ok {
+			} else if s.coneMark[as] == s.coneEpoch {
 				inCone = append(inCone, vi)
 			} else {
 				continue
@@ -522,11 +566,15 @@ func (s *Selector) EntryProb(i, j int, rng *rand.Rand) (float64, *Measurement) {
 // when the pair has no possible measurement). It draws nothing from the
 // RNG, so a batch can score a pair once and replay its draws later.
 func (s *Selector) score(i, j int) (bestP float64, bestV, bestT int) {
+	pp := s.pairOf(i, j)
+	return s.scoreWith(i, j, pp.entry, pp.out)
+}
+
+// scoreWith is score given the pair's entry factor and strategy penalties.
+func (s *Selector) scoreWith(i, j int, entryPen float64, pens []stratPen) (bestP float64, bestV, bestT int) {
 	bestV, bestT = -1, -1
 	vcats := s.vpCategories(i)
 	tcats := s.targetsFor(j)
-	entryPen := s.entryPenaltyFor(i, j)
-	pens := s.penalty[i*len(s.Members)+j]
 	for vi := range vcats {
 		vc := &vcats[vi]
 		vbase := vc.key * numTgtKeys
@@ -615,48 +663,104 @@ func skipFrom(vc *vpCat, tc *tgtCat, done int, rng *rand.Rand) int {
 }
 
 func (s *Selector) penaltyFor(i, j, strat int) float64 {
-	pens := s.penalty[i*len(s.Members)+j]
-	if k, ok := findPen(pens, strat); ok {
+	return factorOf(s.pairOf(i, j).out, strat)
+}
+
+// factorOf returns strategy id's factor in a sorted penalty list: 1 when
+// it is not penalized.
+func factorOf(pens []stratPen, id int) float64 {
+	if k, ok := findPen(pens, id); ok {
 		return pens[k].f
 	}
 	return 1
 }
 
-// setPenalty sets the factor of strategy id at ordered-pair key; a factor
-// of 0 means no penalty and removes it.
+// penOf returns row i's penalty record of column j, nil when the pair has
+// no penalty.
+func (s *Selector) penOf(i, j int) *pairPen {
+	row := s.penalties[i]
+	if len(row) == 0 {
+		return nil
+	}
+	if k, ok := findCol(row, j); ok {
+		return &row[k]
+	}
+	return nil
+}
+
+// pairOf returns the penalty state of ordered pair (i, j).
+func (s *Selector) pairOf(i, j int) pairPen {
+	if pp := s.penOf(i, j); pp != nil {
+		return *pp
+	}
+	return noPen
+}
+
+// findCol returns the position of column j in a row's penalty list, or
+// where it would be inserted, and whether it is there.
+func findCol(row []pairPen, j int) (int, bool) {
+	return slices.BinarySearchFunc(row, int32(j), func(p pairPen, j int32) int { return cmp.Compare(p.j, j) })
+}
+
+// setPenalty sets the factor of strategy id at ordered-pair key (i*n+j);
+// a factor of 0 means no penalty and removes it.
 func (s *Selector) setPenalty(key, id int, f float64) {
-	pens := s.penalty[key]
+	n := len(s.Members)
+	i, j := key/n, key%n
+	pp := s.pairOf(i, j)
+	s.setPair(i, j, pp.entry, withPen(pp.out, id, f), pp.in)
+}
+
+// withPen returns pens with strategy id's factor set to f; a factor of 0
+// removes it. It may reuse pens' storage.
+func withPen(pens []stratPen, id int, f float64) []stratPen {
 	k, found := findPen(pens, id)
 	switch {
 	case f == 0 && !found:
-		return
 	case f == 0 && len(pens) == 1:
-		delete(s.penalty, key)
-		return
+		return nil
 	case f == 0:
-		pens = append(pens[:k], pens[k+1:]...)
+		pens = slices.Delete(pens, k, k+1)
 	case found:
 		pens[k].f = f
 	default:
 		pens = slices.Insert(pens, k, stratPen{id: uint8(id), f: f})
 	}
-	s.penalty[key] = pens
+	return pens
+}
+
+// setPair stores pair {i, j}'s entry factor and the penalties of (i, j)
+// (out) and (j, i) (in) in row i's record and, mirrored, in row j's. A
+// pair left with no penalty loses both records.
+func (s *Selector) setPair(i, j int, entry float64, out, in []stratPen) {
+	if i == j {
+		in = out
+	}
+	s.putPen(i, pairPen{j: int32(j), entry: entry, out: out, in: in})
+	if i != j {
+		s.putPen(j, pairPen{j: int32(i), entry: entry, out: in, in: out})
+	}
+}
+
+func (s *Selector) putPen(i int, pp pairPen) {
+	row := s.penalties[i]
+	k, found := findCol(row, int(pp.j))
+	none := pp.entry == 1 && len(pp.out) == 0 && len(pp.in) == 0
+	switch {
+	case none && found:
+		s.penalties[i] = slices.Delete(row, k, k+1)
+	case none:
+	case found:
+		row[k] = pp
+	default:
+		s.penalties[i] = slices.Insert(row, k, pp)
+	}
 }
 
 // findPen returns the position of strategy id in a sorted penalty list, or
 // where it would be inserted, and whether it is there.
 func findPen(pens []stratPen, id int) (int, bool) {
 	return slices.BinarySearchFunc(pens, id, func(p stratPen, id int) int { return cmp.Compare(int(p.id), id) })
-}
-
-func (s *Selector) entryPenaltyFor(i, j int) float64 {
-	if i > j {
-		i, j = j, i
-	}
-	if p := s.entryPenalty[i*len(s.Members)+j]; p != 0 {
-		return p
-	}
-	return 1
 }
 
 // pickVP selects a vantage point of category vc with probability
@@ -728,11 +832,14 @@ func (s *Selector) SelectBatch(size int, eps float64, rowFill []int, need []int,
 	if s.pendingMark == nil {
 		s.pendingMark = make([]bool, n*n)
 		s.perRowScratch = make([]int, n)
-		s.scores = make([]pairScore, n*n)
+		s.dead = make([]drawRun, n)
+		s.deadGen = make([]uint32, n)
+		s.classify()
 	}
 	// Reports since the last batch may have changed any score.
 	if s.gen++; s.gen == 0 {
-		clear(s.scores)
+		clear(s.classScores)
+		clear(s.deadGen)
 		s.gen = 1
 	}
 	pending := s.pendingMark
@@ -757,6 +864,8 @@ func (s *Selector) SelectBatch(size int, eps float64, rowFill []int, need []int,
 		i, j := s.Index[m.LinkI], s.Index[m.LinkJ]
 		pending[i*n+j] = true
 		pending[j*n+i] = true
+		// Both rows lost an open column, so their dead runs are stale.
+		s.deadGen[i], s.deadGen[j] = 0, 0
 		fill[i]++
 		fill[j]++
 		out = append(out, m)
@@ -771,15 +880,64 @@ func (s *Selector) SelectBatch(size int, eps float64, rowFill []int, need []int,
 	return out
 }
 
-// memo returns the batch's score of ordered pair (i, j), scoring it on
-// first use.
-func (s *Selector) memo(i, j int) *pairScore {
-	e := &s.scores[i*len(s.Members)+j]
+// classify numbers every row's VP signature (the key and size of each of
+// its VP categories, in order) and target signature (the key and target
+// count of each target category) and sizes the class memo. Two rows with
+// the same VP signature have the same category indices, so a class memo
+// entry's v and t hold for every pair of its class.
+func (s *Selector) classify() {
+	n := len(s.Members)
+	s.vsig, s.tsig = make([]int32, n), make([]int32, n)
+	vids, tids := map[string]int32{}, map[string]int32{}
+	var key []byte
+	id := func(ids map[string]int32, key []byte) int32 {
+		v, ok := ids[string(key)]
+		if !ok {
+			v = int32(len(ids))
+			ids[string(key)] = v
+		}
+		return v
+	}
+	for i := 0; i < n; i++ {
+		key = key[:0]
+		for _, c := range s.vpCategories(i) {
+			key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(c.key)), uint64(c.n))
+		}
+		s.vsig[i] = id(vids, key)
+		key = key[:0]
+		for _, c := range s.targetsFor(i) {
+			key = binary.AppendUvarint(binary.AppendUvarint(key, uint64(c.key)), uint64(len(c.tgts)))
+		}
+		s.tsig[i] = id(tids, key)
+	}
+	s.nts = len(tids)
+	s.classScores = make([]pairScore, len(vids)*len(tids))
+}
+
+// memo returns the batch's score of ordered pair (i, j).
+func (s *Selector) memo(i, j int) pairScore {
+	return s.memoPen(i, j, s.penOf(i, j), false)
+}
+
+// memoPen is memo given pp, the penalty record of row i at column j (nil:
+// none), or with in set, the record of row j at column i. A penalized
+// pair is scored directly; any other scores as its class, which is scored
+// on first use.
+func (s *Selector) memoPen(i, j int, pp *pairPen, in bool) pairScore {
+	if pp != nil {
+		pens := pp.out
+		if in {
+			pens = pp.in
+		}
+		p, v, t := s.scoreWith(i, j, pp.entry, pens)
+		return pairScore{p: p, v: int8(v), t: int8(t)}
+	}
+	e := &s.classScores[int(s.vsig[i])*s.nts+int(s.tsig[j])]
 	if e.gen != s.gen {
-		p, v, t := s.score(i, j)
+		p, v, t := s.scoreWith(i, j, 1, nil)
 		*e = pairScore{p: p, gen: s.gen, v: int8(v), t: int8(t)}
 	}
-	return e
+	return *e
 }
 
 // drawPair measures link (i, j) from the better side — orientation (i, j)
@@ -811,9 +969,9 @@ func (r drawRun) plus(o drawRun) drawRun {
 	return drawRun{r.draws + o.draws, min(r.bound, o.bound)}
 }
 
-// sideRun returns the draws of measuring orientation (i, j) with its memo
+// sideRun returns the draws of measuring orientation (i, j) with its score
 // e, assuming no rejection: none when it has no possible measurement.
-func (s *Selector) sideRun(i, j int, e *pairScore) drawRun {
+func (s *Selector) sideRun(i, j int, e pairScore) drawRun {
 	if e.v < 0 {
 		return noDraws
 	}
@@ -825,13 +983,22 @@ func measureRun(vc *vpCat, tc *tgtCat) drawRun {
 	return drawRun{vc.draws + 1, min(vc.low, tc.accept)}
 }
 
-// skipSide is skipFrom for orientation (i, j) with its memo e, which draws
-// nothing when the orientation has no possible measurement.
-func (s *Selector) skipSide(i, j int, e *pairScore, done int, rng *rand.Rand) int {
+// skipSide is skipFrom for orientation (i, j) with its score e, which
+// draws nothing when the orientation has no possible measurement.
+func (s *Selector) skipSide(i, j int, e pairScore, done int, rng *rand.Rand) int {
 	if e.v < 0 {
 		return done
 	}
 	return skipFrom(&s.vpCats[i][e.v], &s.tgtCats[j][e.t], done, rng)
+}
+
+// streamOf returns the selector's stream when it is the source behind
+// rng, else nil.
+func (s *Selector) streamOf(rng *rand.Rand) *Stream {
+	if st := s.stream; st != nil && st.rng == rng {
+		return st
+	}
+	return nil
 }
 
 // skipPairs advances rng over the draws of measuring links (i, j), j in
@@ -841,15 +1008,71 @@ func (s *Selector) skipSide(i, j int, e *pairScore, done int, rng *rand.Rand) in
 // draw might reject; the rest is replayed draw by draw.
 func (s *Selector) skipPairs(i int, cols []int, run drawRun, rng *rand.Rand) {
 	done := 0
-	if st := s.stream; st != nil && st.rng == rng {
+	if st := s.streamOf(rng); st != nil {
 		if done = st.skip(run.draws, run.bound); done == run.draws {
 			return
 		}
 	}
+	s.replayPairs(i, cols, done, rng)
+}
+
+// replayPairs is skipPairs draw by draw, after the run's first done draws.
+func (s *Selector) replayPairs(i int, cols []int, done int, rng *rand.Rand) {
 	for _, j := range cols {
 		done = s.skipSide(i, j, s.memo(i, j), done, rng)
 		done = s.skipSide(j, i, s.memo(j, i), done, rng)
 	}
+}
+
+// rowScan is one exploit scan of a row: its open columns, the winner (j
+// < 0: none) and its position in cols, and the draw runs of the columns
+// before the winner, after it, and of them all.
+type rowScan struct {
+	cols                []int
+	bestJ, bestK        int
+	before, after, runs drawRun
+}
+
+// scanRow scans the open columns of row i for the entry with the highest
+// probability above 0.1. cols is selector scratch, valid until the next
+// call.
+func (s *Selector) scanRow(i int, has func(i, j int) bool, pending []bool) rowScan {
+	n := len(s.Members)
+	cols := s.colScratch[:0]
+	bestP := 0.1
+	sc := rowScan{bestJ: -1, before: noDraws, after: noDraws, runs: noDraws}
+	pens := s.penalties[i] // walked alongside j
+	for j := 0; j < n; j++ {
+		if j == i || has(i, j) || pending[i*n+j] {
+			continue
+		}
+		var pp *pairPen
+		for len(pens) > 0 && int(pens[0].j) < j {
+			pens = pens[1:]
+		}
+		if len(pens) > 0 && int(pens[0].j) == j {
+			pp = &pens[0]
+		}
+		// A link can be measured from either side: probe near i toward
+		// j, or near j toward i. Take the better orientation.
+		a, b := s.memoPen(i, j, pp, false), s.memoPen(j, i, pp, true)
+		p := a.p
+		if b.p > p {
+			p = b.p
+		}
+		run := s.sideRun(i, j, a).plus(s.sideRun(j, i, b))
+		if p > bestP {
+			bestP, sc.bestJ, sc.bestK = p, j, len(cols)
+			sc.before, sc.after = sc.runs, noDraws
+		} else {
+			sc.after = sc.after.plus(run)
+		}
+		sc.runs = sc.runs.plus(run)
+		cols = append(cols, j)
+	}
+	s.colScratch = cols
+	sc.cols = cols
+	return sc
 }
 
 // selectExploit picks the row with the fewest filled entries that has some
@@ -859,41 +1082,35 @@ func (s *Selector) skipPairs(i int, cols []int, run drawRun, rng *rand.Rand) {
 // the winning row itself replay their draws in scan order. The scan sums
 // the draws of the columns before the winner and of those after it, so
 // each run is skipped in one skipPairs call.
+//
+// With the selector's stream behind rng, a row whose scan found no winner
+// keeps its run for the batch (dead), and later picks skip it in one
+// Stream.skip without a scan, until a pick of the batch involves the row.
+// If that skip stops at an output some draw might reject, the row is
+// rescanned and replayed draw by draw from there, as skipPairs does.
 func (s *Selector) selectExploit(fill, need []int, has func(i, j int) bool, pending []bool, rng *rand.Rand) (Measurement, bool) {
-	n := len(s.Members)
+	st := s.streamOf(rng)
 	for _, i := range s.rowsByFill(fill, need, rng) {
-		cols := s.colScratch[:0]
-		bestP, bestJ, bestK := 0.1, -1, 0
-		all, before, after := noDraws, noDraws, noDraws
-		for j := 0; j < n; j++ {
-			if j == i || has(i, j) || pending[i*n+j] {
-				continue
+		if st != nil && s.deadGen[i] == s.gen {
+			s.deadSkips++
+			run := s.dead[i]
+			if done := st.skip(run.draws, run.bound); done < run.draws {
+				s.deadRescans++
+				s.replayPairs(i, s.scanRow(i, has, pending).cols, done, rng)
 			}
-			// A link can be measured from either side: probe near i
-			// toward j, or near j toward i. Take the better orientation.
-			a, b := s.memo(i, j), s.memo(j, i)
-			p := a.p
-			if b.p > p {
-				p = b.p
-			}
-			run := s.sideRun(i, j, a).plus(s.sideRun(j, i, b))
-			if p > bestP {
-				bestP, bestJ, bestK = p, j, len(cols)
-				before, after = all, noDraws
-			} else {
-				after = after.plus(run)
-			}
-			all = all.plus(run)
-			cols = append(cols, j)
-		}
-		s.colScratch = cols
-		if bestJ < 0 {
-			s.skipPairs(i, cols, all, rng)
 			continue
 		}
-		s.skipPairs(i, cols[:bestK], before, rng)
-		best := s.drawPair(i, bestJ, rng)
-		s.skipPairs(i, cols[bestK+1:], after, rng)
+		sc := s.scanRow(i, has, pending)
+		if sc.bestJ < 0 {
+			if st != nil {
+				s.dead[i], s.deadGen[i] = sc.runs, s.gen
+			}
+			s.skipPairs(i, sc.cols, sc.runs, rng)
+			continue
+		}
+		s.skipPairs(i, sc.cols[:sc.bestK], sc.before, rng)
+		best := s.drawPair(i, sc.bestJ, rng)
+		s.skipPairs(i, sc.cols[sc.bestK+1:], sc.after, rng)
 		return best, true
 	}
 	return Measurement{}, false
@@ -1020,20 +1237,19 @@ func (s *Selector) Report(m Measurement, informative bool) {
 		s.stratSucc[id]++
 	}
 	s.rate[id] = s.stratSucc[id] / s.stratTrial[id]
-	n := len(s.Members)
 	i, okI := s.Index[m.LinkI]
 	j, okJ := s.Index[m.LinkJ]
 	if okI && okJ {
-		a, b := i, j
-		if a > b {
-			a, b = b, a
-		}
+		pp := s.pairOf(i, j)
 		if informative {
-			s.setPenalty(i*n+j, id, 0)
-			s.entryPenalty[a*n+b] = 0
+			s.setPair(i, j, 1, withPen(pp.out, id, 0), pp.in)
 		} else {
-			s.setPenalty(i*n+j, id, s.penaltyFor(i, j, id)*0.5)
-			s.entryPenalty[a*n+b] = s.entryPenaltyFor(i, j) * 0.7
+			// A factor that underflows to 0 reads as no penalty.
+			entry := pp.entry * 0.7
+			if entry == 0 {
+				entry = 1
+			}
+			s.setPair(i, j, entry, withPen(pp.out, id, factorOf(pp.out, id)*0.5), pp.in)
 		}
 	}
 	if okI {

@@ -50,22 +50,31 @@ func (s *Stream) Seed(seed int64) {
 
 // refill replaces the spent block with the next 607 outputs, in place:
 // the output 273 back of the block's first 273 lies in the spent block,
-// 334 places on; for the rest it is in the new block, already written.
-func (s *Stream) refill() {
+// 334 places on; for the rest it is in the new block, already written. It
+// returns the OR of bound - x over the new block's Int63 values x, whose
+// top bit is set exactly when some value exceeds bound (see skip), so a
+// skip over the whole block checks it as it is derived.
+func (s *Stream) refill(bound uint64) uint64 {
 	v := &s.vec
+	var over uint64
 	for k := 0; k < streamTap; k++ {
-		v[k] += v[k+streamLag-streamTap]
+		x := v[k] + v[k+streamLag-streamTap]
+		v[k] = x
+		over |= bound - x&int63Mask
 	}
 	for k := streamTap; k < streamLag; k++ {
-		v[k] += v[k-streamTap]
+		x := v[k] + v[k-streamTap]
+		v[k] = x
+		over |= bound - x&int63Mask
 	}
 	s.pos = 0
+	return over
 }
 
 // Uint64 returns the next output.
 func (s *Stream) Uint64() uint64 {
 	if s.pos == streamLag {
-		s.refill()
+		s.refill(int63Mask)
 	}
 	x := s.vec[s.pos]
 	s.pos++
@@ -81,8 +90,12 @@ func (s *Stream) Int63() int64 { return int64(s.Uint64() & int63Mask) }
 // bound therefore took one output each and was accepted by each.
 func (s *Stream) skip(n int, bound uint64) int {
 	for done := 0; done < n; {
-		if s.pos == streamLag {
-			s.refill()
+		// A run that takes the whole next block is checked as the block
+		// is derived.
+		if s.pos == streamLag && s.refill(bound)>>63 == 0 && n-done >= streamLag {
+			s.pos = streamLag
+			done += streamLag
+			continue
 		}
 		w := s.vec[s.pos:min(streamLag, s.pos+n-done)]
 		// Both sides are below 2⁶³, so bound - x wraps to 2⁶³ or more

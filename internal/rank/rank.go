@@ -198,13 +198,15 @@ func Estimate(E mat.View, mask *mat.Mask, features *mat.Matrix, topUp TopUpFunc,
 			for _, h := range holdout {
 				ov.Remove(h[0], h[1])
 			}
-			completed, factors := prob.CompleteFactors(opts, ov, init)
+			// Only the held-out cells are scored, so they are read from
+			// the factors rather than from a dense completion.
+			factors := prob.Fit(opts, ov, init)
 			warm = factors // the last draw's factors seed rank r+1
 			for _, h := range holdout {
 				if ov.RowCount(h[0]) < r || ov.RowCount(h[1]) < r {
 					continue
 				}
-				diff := completed.At(h[0], h[1]) - E.At(h[0], h[1])
+				diff := factors.Rating(h[0], h[1]) - E.At(h[0], h[1])
 				se += diff * diff
 				cnt++
 			}

@@ -190,8 +190,9 @@ type Result struct {
 	Members []int
 	// Estimate is the measured matrix E_m after targeted tracerouting.
 	Estimate *obs.Estimate
-	// Ratings is the completed matrix C_m as continuous scores in [-1,1].
-	Ratings *mat.Matrix
+	// Ratings is the completed matrix C_m as continuous scores in [-1,1],
+	// stored as its upper triangle (C_m is symmetric).
+	Ratings *mat.Sym
 	// Rank is the estimated effective rank.
 	Rank int
 	// RankHistory traces the estimation loop (Fig. 10-style data).
@@ -419,7 +420,8 @@ func CompleteWithout(E mat.View, mask *mat.Mask, features *mat.Matrix, holdout [
 
 // pickThreshold runs an internal stratified holdout to choose λ. The
 // holdout is applied as an overlay on prob (the final completion problem),
-// so no mask clone or observation rebuild happens here.
+// so no mask clone or observation rebuild happens here, and its cells are
+// read from the fit's factors, never from a dense completion.
 func (p *Pipeline) pickThreshold(est *obs.Estimate, prob *als.Problem, opts als.Options, rng *rand.Rand) float64 {
 	var holdout [][2]int
 	ov := mat.NewOverlay(est.Mask)
@@ -442,11 +444,11 @@ func (p *Pipeline) pickThreshold(est *obs.Estimate, prob *als.Problem, opts als.
 	if len(holdout) < 5 {
 		return 0.3 // not enough data; the paper's max-F operating point
 	}
-	completed := prob.Complete(opts, ov)
+	fa := prob.Fit(opts, ov, nil)
 	scores := make([]float64, len(holdout))
 	labels := make([]bool, len(holdout))
 	for k, h := range holdout {
-		scores[k] = completed.At(h[0], h[1])
+		scores[k] = fa.Rating(h[0], h[1])
 		labels[k] = est.E.At(h[0], h[1]) > 0
 	}
 	thr, _ := stats.BestF1Threshold(scores, labels)

@@ -1,6 +1,7 @@
 package metascritic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -11,6 +12,30 @@ import (
 
 func smallWorld(seed int64) *netsim.World {
 	return netsim.Generate(netsim.Config{Seed: seed, Metros: netsim.DefaultMetros(0.12)})
+}
+
+// requireRatings checks a result's ratings triangle: it covers the members,
+// every cell reads the same from both sides, and, when the result keeps
+// its factors, every cell equals the factors' Rating bit for bit.
+func requireRatings(t *testing.T, res *Result) {
+	t.Helper()
+	n := len(res.Members)
+	if res.Ratings.N() != n || len(res.Ratings.Data) != n*(n+1)/2 {
+		t.Fatalf("ratings sized %d (%d values) for %d members", res.Ratings.N(), len(res.Ratings.Data), n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := res.Ratings.At(i, j)
+			if mirror := res.Ratings.At(j, i); math.Float64bits(mirror) != math.Float64bits(v) {
+				t.Fatalf("ratings (%d,%d) = %v but (%d,%d) = %v", i, j, v, j, i, mirror)
+			}
+			if res.Factors != nil {
+				if fv := res.Factors.Rating(i, j); math.Float64bits(fv) != math.Float64bits(v) {
+					t.Fatalf("ratings (%d,%d) = %v, factors give %v", i, j, v, fv)
+				}
+			}
+		}
+	}
 }
 
 func TestBuildFeatures(t *testing.T) {
@@ -69,9 +94,7 @@ func TestRunMetroEndToEnd(t *testing.T) {
 	if res.Measurements > cfg.MaxMeasurements {
 		t.Fatalf("budget exceeded: %d > %d", res.Measurements, cfg.MaxMeasurements)
 	}
-	if !res.Ratings.IsSymmetric(1e-9) {
-		t.Fatalf("ratings not symmetric")
-	}
+	requireRatings(t, res)
 	if len(res.Calibrations) != res.Measurements {
 		t.Fatalf("calibration records %d != measurements %d", len(res.Calibrations), res.Measurements)
 	}

@@ -131,7 +131,8 @@ func (p *Pipeline) finish(ctx context.Context, ps *metroPass, opts als.Options, 
 	}
 	res.Lambda = opts.Lambda
 	res.FeatureWeight = opts.FeatureWeight
-	res.Ratings, res.Factors = prob.CompleteFactors(opts, nil, warm)
+	res.Factors = prob.Fit(opts, nil, warm)
+	res.Ratings = prob.Ratings(res.Factors)
 	ps.clock.mark(&res.Timings.Completion, &res.Timings.Allocs.Completion)
 	if err := ctx.Err(); err != nil {
 		return res, abortErr(res.Metro, "completion", err)

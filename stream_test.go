@@ -172,9 +172,7 @@ func TestRescoreMatchesColdRerun(t *testing.T) {
 	if inc.Factors == nil {
 		t.Fatalf("Rescore returned no factors for the next warm start")
 	}
-	if !inc.Ratings.IsSymmetric(1e-9) {
-		t.Fatalf("rescored ratings not symmetric")
-	}
+	requireRatings(t, inc)
 	if inc.Threshold < 0.1 || inc.Threshold > 0.95 {
 		t.Fatalf("threshold %v outside the paper's operating range", inc.Threshold)
 	}
@@ -282,12 +280,7 @@ func TestRescoreAfterArrivalFallsBackCold(t *testing.T) {
 	if len(res.Members) <= len(prev.Members) {
 		t.Fatalf("members did not grow: %d -> %d", len(prev.Members), len(res.Members))
 	}
-	if res.Ratings.Rows != len(res.Members) {
-		t.Fatalf("ratings sized %d for %d members", res.Ratings.Rows, len(res.Members))
-	}
-	if !res.Ratings.IsSymmetric(1e-9) {
-		t.Fatalf("ratings not symmetric after cold fallback")
-	}
+	requireRatings(t, res)
 }
 
 func TestRescoreValidation(t *testing.T) {
@@ -304,7 +297,7 @@ func TestRescoreValidation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	prev := &Result{Metro: 0, Rank: 3, Ratings: BuildFeatures(w.G, w.G.Metros[0].Members)}
+	prev := &Result{Metro: 0, Rank: 3, Ratings: mat.NewSym(len(w.G.Metros[0].Members))}
 	if _, err := p.Rescore(ctx, prev, cfg); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled ctx: got %v, want ErrCanceled", err)
 	}
