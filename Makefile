@@ -11,7 +11,7 @@ BASE ?= HEAD
 PAIRS ?= 10
 PROFILE_DIR ?= profiles
 
-.PHONY: build test check bench bench-engine bench-100k bench-compare profile race-run clean
+.PHONY: build test check loc bench bench-engine bench-100k bench-compare profile race-run clean
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,13 @@ check:
 	$(GO) vet ./...
 	$(GO) -C perfbench vet ./...
 	$(GO) test -race ./...
+
+# loc prints the tree's Go line counts: non-test lines without the
+# perfbench/ module, and test lines. A subtraction reports both before and
+# after (ROADMAP item 8).
+loc:
+	@echo "non-test Go lines (without perfbench/): $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l)"
+	@echo "test Go lines: $$(find . -name '*_test.go' | xargs cat | wc -l)"
 
 # bench runs the hot-path micro-benchmarks at METASCRITIC_BENCH_SCALE and
 # prints go test's report. -p 1 serializes the per-package test binaries:

@@ -507,6 +507,13 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		Workers:     req.Workers,
 		SharePriors: req.SharePriors,
 	})
+	if errors.Is(err, engine.ErrTooManyRuns) {
+		// The queue is full, not the request wrong: retry once a run
+		// finishes.
+		w.Header().Set("Retry-After", "5")
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return

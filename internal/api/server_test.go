@@ -284,6 +284,10 @@ func TestSubmitRunValidation(t *testing.T) {
 	if res.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("repeated metro accepted: %d %s", res.StatusCode, body)
 	}
+	res, body = post(`{"workers": -1}`)
+	if res.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("negative workers accepted: %d %s", res.StatusCode, body)
+	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs", nil))
 	var list struct {

@@ -126,13 +126,17 @@ func (e *Engine) Run(ctx context.Context, metro int, cfg metascritic.Config) (*m
 }
 
 // validate checks a batch config against the engine's world and returns
-// the metros it runs: the base config must be valid, Base.Priors must be
-// nil under SharePriors, and the metro set must be non-empty, in range
-// and free of duplicates. RunAll and RunManager.Submit both call it, so a
-// config Submit accepts is one RunAll accepts.
+// the metros it runs: the base config must be valid, Workers must be
+// non-negative, Base.Priors must be nil under SharePriors, and the metro
+// set must be non-empty, in range and free of duplicates. RunAll and
+// RunManager.Submit both call it, so a config Submit accepts is one RunAll
+// accepts.
 func (e *Engine) validate(cfg Config) ([]int, error) {
 	if err := cfg.Base.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("%w: Workers must be non-negative (0 = GOMAXPROCS), got %d", metascritic.ErrInvalidConfig, cfg.Workers)
 	}
 	if cfg.SharePriors && cfg.Base.Priors != nil {
 		return nil, fmt.Errorf("%w: Base.Priors must be nil when SharePriors is set", metascritic.ErrInvalidConfig)

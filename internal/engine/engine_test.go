@@ -100,22 +100,23 @@ func TestRunAllMatchesSequential(t *testing.T) {
 	if mr.Stats.Workers < 1 {
 		t.Fatalf("workers = %d", mr.Stats.Workers)
 	}
-	// The aggregated measurement-pipeline stats must tie out: per-metro
-	// committed counts sum to the batch's measurement total, and the
-	// batch-level Merge reproduces that sum.
-	committed := 0
+	// The aggregated measurement-pipeline stats must tie out: nothing is
+	// cancelled, so per-metro launched counts equal the metro's
+	// measurements and sum to the batch's total, and the batch-level
+	// Merge reproduces that sum.
+	launched := 0
 	for _, ms := range mr.Stats.PerMetro {
-		if ms.Phases.Measure.Committed != ms.Measurements {
-			t.Errorf("metro %d: Measure.Committed %d != Measurements %d",
-				ms.Metro, ms.Phases.Measure.Committed, ms.Measurements)
+		if ms.Phases.Measure.Launched != ms.Measurements {
+			t.Errorf("metro %d: Measure.Launched %d != Measurements %d",
+				ms.Metro, ms.Phases.Measure.Launched, ms.Measurements)
 		}
-		committed += ms.Phases.Measure.Committed
+		launched += ms.Phases.Measure.Launched
 	}
-	if committed != mr.Stats.Measurements {
-		t.Errorf("summed Measure.Committed %d != Stats.Measurements %d", committed, mr.Stats.Measurements)
+	if launched != mr.Stats.Measurements {
+		t.Errorf("summed Measure.Launched %d != Stats.Measurements %d", launched, mr.Stats.Measurements)
 	}
-	if mr.Stats.Phases.Measure.Committed != committed {
-		t.Errorf("aggregated Measure.Committed %d != summed %d", mr.Stats.Phases.Measure.Committed, committed)
+	if mr.Stats.Phases.Measure.Launched != launched {
+		t.Errorf("aggregated Measure.Launched %d != summed %d", mr.Stats.Phases.Measure.Launched, launched)
 	}
 	// The Estimate phase (time building/refreshing E_m) must be measured
 	// per metro and aggregate across the batch like the other phases.
@@ -245,6 +246,10 @@ func TestRunAllValidation(t *testing.T) {
 
 	if _, err := eng.RunAll(ctx, Config{Base: testConfig(2), Metros: []int{-1}}); !errors.Is(err, metascritic.ErrInvalidConfig) {
 		t.Fatalf("negative metro: got %v, want ErrInvalidConfig", err)
+	}
+
+	if _, err := eng.RunAll(ctx, Config{Base: testConfig(2), Workers: -1}); !errors.Is(err, metascritic.ErrInvalidConfig) {
+		t.Fatalf("negative Workers: got %v, want ErrInvalidConfig", err)
 	}
 
 	withPriors := testConfig(2)

@@ -12,11 +12,22 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 )
+
+// maxActiveRuns bounds the runs a manager holds pending or running at
+// once. Every run spends the whole machine through its metro pool, so
+// more concurrent runs only divide the same cores further while each one
+// holds its snapshot's memory.
+const maxActiveRuns = 4
+
+// ErrTooManyRuns rejects a submission while maxActiveRuns runs are pending
+// or running; the caller may retry once one of them finishes.
+var ErrTooManyRuns = errors.New("engine: submit: too many active runs")
 
 // RunState is the lifecycle state of a managed run.
 type RunState string
@@ -75,7 +86,8 @@ func NewRunManager(eng *Engine, onDone func(id string, mr *MultiResult)) *RunMan
 
 // Submit starts a batch asynchronously and returns its run ID. It
 // validates the config synchronously — a rejected config never creates a
-// run record — and fails once Shutdown has begun.
+// run record — fails once Shutdown has begun, and fails with
+// ErrTooManyRuns while maxActiveRuns runs are pending or running.
 func (m *RunManager) Submit(cfg Config) (string, error) {
 	if _, err := m.eng.validate(cfg); err != nil {
 		return "", fmt.Errorf("engine: submit: %w", err)
@@ -84,6 +96,10 @@ func (m *RunManager) Submit(cfg Config) (string, error) {
 	if m.draining {
 		m.mu.Unlock()
 		return "", fmt.Errorf("engine: submit: manager is shutting down")
+	}
+	if m.activeLocked() >= maxActiveRuns {
+		m.mu.Unlock()
+		return "", fmt.Errorf("%w (%d pending or running)", ErrTooManyRuns, maxActiveRuns)
 	}
 	m.nextID++
 	id := fmt.Sprintf("run-%04d", m.nextID)
@@ -170,6 +186,10 @@ func (m *RunManager) List() []RunStatus {
 func (m *RunManager) Active() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.activeLocked()
+}
+
+func (m *RunManager) activeLocked() int {
 	n := 0
 	for _, r := range m.runs {
 		if r.status.State == RunPending || r.status.State == RunRunning {

@@ -3,7 +3,8 @@ package engine
 // RunManager tests: the async lifecycle (pending → running → done with
 // the completion callback fired before "done" is observable), cancel
 // during a run without leaking goroutines, drain-with-deadline shutdown
-// semantics, and submission rejection after shutdown begins.
+// semantics, and submission rejection after shutdown begins or while the
+// active-run cap is reached.
 
 import (
 	"context"
@@ -102,6 +103,47 @@ func TestRunManagerRejectsInvalidAndDraining(t *testing.T) {
 	}
 	if _, err := m.Submit(Config{Base: testConfig(4)}); err == nil || !strings.Contains(err.Error(), "shutting down") {
 		t.Fatalf("submit after shutdown: got %v, want shutting-down error", err)
+	}
+}
+
+// TestRunManagerCapsActiveRuns holds maxActiveRuns runs active by
+// blocking their completion callback, and checks the next submission is
+// refused with ErrTooManyRuns and leaves no run record, until one of them
+// finishes.
+func TestRunManagerCapsActiveRuns(t *testing.T) {
+	p := testPipeline(t, 5, 0.1)
+	metros := twoMetros(t, p)
+	release := make(chan struct{})
+	m := NewRunManager(New(p), func(string, *MultiResult) { <-release })
+	cfg := testConfig(5)
+	cfg.MaxMeasurements = 100
+	var ids []string
+	for i := 0; i < maxActiveRuns; i++ {
+		id, err := m.Submit(Config{Base: cfg, Metros: metros[:1], Workers: 1})
+		if err != nil {
+			t.Fatalf("submit %d of %d: %v", i+1, maxActiveRuns, err)
+		}
+		ids = append(ids, id)
+	}
+	if _, err := m.Submit(Config{Base: cfg, Metros: metros[:1], Workers: 1}); !errors.Is(err, ErrTooManyRuns) {
+		t.Fatalf("submit past the cap: got %v, want ErrTooManyRuns", err)
+	}
+	if n := len(m.List()); n != maxActiveRuns {
+		t.Fatalf("refused submission left a run record: %d runs listed", n)
+	}
+	close(release)
+	for _, id := range ids {
+		if st := waitState(t, m, id); st.State != RunDone {
+			t.Fatalf("run %s finished as %s (%s), want done", id, st.State, st.Error)
+		}
+	}
+	id, err := m.Submit(Config{Base: cfg, Metros: metros[:1], Workers: 1})
+	if err != nil {
+		t.Fatalf("submit after the active runs finished: %v", err)
+	}
+	waitState(t, m, id)
+	if err := m.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

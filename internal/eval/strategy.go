@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"metascritic"
-	"metascritic/internal/asgraph"
 	"metascritic/internal/baseline"
 	"metascritic/internal/obs"
 	"metascritic/internal/probe"
@@ -96,16 +95,7 @@ func (h *Harness) RunStrategy(metro int, picker baseline.Picker, budget, batchSi
 		for _, m := range batch {
 			spent++
 			tr := h.P.Engine.RunTarget(m.VP.AS, m.VP.Metro, m.Target.AS, m.Target.Metro)
-			findings := store.AddTrace(tr)
-			informative := false
-			want := asgraph.MakePair(m.LinkI, m.LinkJ)
-			for _, f := range findings {
-				if f.Pair == want {
-					informative = true
-					break
-				}
-			}
-			sel.Report(m, informative)
+			sel.Report(m, obs.Reveals(store.AddTrace(tr), m.LinkI, m.LinkJ))
 		}
 		store.Refresh(est)
 		run.Batches = append(run.Batches, h.batchStat(est, spent, rowsAboveK))

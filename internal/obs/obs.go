@@ -87,6 +87,19 @@ type Finding struct {
 	Direct bool // true: link evidence; false: transit (non-link) evidence
 }
 
+// Reveals reports whether findings carry evidence, either way, about the
+// pair (a, b): whether the trace that produced them was informative about
+// the link it targeted.
+func Reveals(findings []Finding, a, b int) bool {
+	want := asgraph.MakePair(a, b)
+	for _, f := range findings {
+		if f.Pair == want {
+			return true
+		}
+	}
+	return false
+}
+
 // Store accumulates traceroute-derived knowledge across all metros.
 //
 // Every structure below is append-only at the record level (metros are

@@ -7,8 +7,8 @@ package metascritic
 // selector statistics and the calibration log in the batch's original
 // order. Because every mutation (obs.Store.AddTrace, probe.Selector.Report,
 // Result.Calibrations, the budget counter) happens on the committing
-// goroutine in batch order, a parallel run is byte-identical to the serial
-// one — the workers only ever race on the pure simulation. Each committed
+// goroutine in batch order, the Result is byte-identical at every worker
+// count — the workers only ever race on the pure simulation. Each committed
 // AddTrace also appends the pairs it touched to the store's dirty log, so
 // the post-batch estimate refresh (obs.Store.Refresh) re-derives exactly
 // the delta this plan committed rather than rescanning all evidence.
@@ -38,28 +38,19 @@ import (
 // MeasureStats counts the work done by the speculative measurement
 // pipeline of one metro run. It is surfaced through Result.Timings and
 // aggregated across metros by engine.RunStats. The counts are concurrency
-// telemetry, not part of the determinism contract: Committed is identical
-// between serial and parallel runs, the rest depends on the worker count.
+// telemetry, not part of the determinism contract: Launched and Discarded
+// depend on cancellation timing, Wall on the host.
 type MeasureStats struct {
 	// Workers is the resolved fan-out width (Config.MeasureWorkers, with 0
 	// resolved to GOMAXPROCS).
 	Workers int
-	// Batches is the number of batches that went through the parallel
-	// fan-out path (serial runs leave it 0).
-	Batches int
 	// Launched is the number of traceroutes actually started by fan-out
 	// workers (committed + speculative traces later discarded).
 	Launched int
-	// Committed is the number of measurements committed in order into the
-	// store/selector/calibration log. It equals Result.Measurements.
-	Committed int
 	// Discarded counts batch items that were not committed: the
 	// over-budget tail of a speculative window (never launched) plus
 	// launched speculative traces dropped by cancellation.
 	Discarded int
-	// PrefetchedRoutes is the number of distinct uncached destinations
-	// warmed in the route cache ahead of fan-outs.
-	PrefetchedRoutes int
 	// Wall is the wall-clock spent inside runPlan (fan-out + commit).
 	Wall time.Duration
 }
@@ -70,11 +61,8 @@ func (s *MeasureStats) Merge(o MeasureStats) {
 	if o.Workers > s.Workers {
 		s.Workers = o.Workers
 	}
-	s.Batches += o.Batches
 	s.Launched += o.Launched
-	s.Committed += o.Committed
 	s.Discarded += o.Discarded
-	s.PrefetchedRoutes += o.PrefetchedRoutes
 	s.Wall += o.Wall
 }
 
@@ -91,37 +79,17 @@ func measureWorkers(cfg Config) int {
 }
 
 // runPlan executes up to *budget measurements of batch, in order, stopping
-// early on cancellation. With workers <= 1 it is the exact legacy serial
-// loop: run one traceroute, ingest it, commit, repeat. With workers > 1 the
-// traceroutes of the speculative window run concurrently while the
-// committer ingests and commits them strictly in batch order, so the
-// observable state mutations are identical to the serial path.
+// early on cancellation. The traceroutes of the speculative window run on
+// up to workers goroutines — at one worker, inline on the fan-out
+// goroutine — while the committer ingests and commits them strictly in
+// batch order, so the observable state mutations do not depend on the
+// worker count.
 func (p *Pipeline) runPlan(ctx context.Context, workers int, batch []probe.Measurement, budget *int, st *MeasureStats, commit commitFunc) {
 	if len(batch) == 0 || *budget <= 0 || ctx.Err() != nil {
 		return
 	}
 	start := time.Now()
 	defer func() { st.Wall += time.Since(start) }()
-
-	// The serial loop stays although the fan-out below is equivalent at
-	// one worker: campaign and serve runs resolve to one measurement
-	// worker per metro on small hosts, and there the fan-out's per-batch
-	// route prefetch, goroutine and per-item channels buy nothing. On a
-	// 2-core host, deleting this branch measured 0-8% slower on
-	// BenchmarkRunMetro/workers=1 (alternating pairs, median ~205 ms/op).
-	if workers <= 1 {
-		for _, m := range batch {
-			if *budget <= 0 || ctx.Err() != nil {
-				return
-			}
-			*budget--
-			tr := p.Engine.RunTarget(m.VP.AS, m.VP.Metro, m.Target.AS, m.Target.Metro)
-			st.Committed++
-			st.Launched++
-			commit(m, p.Store.AddTrace(tr))
-		}
-		return
-	}
 
 	// Speculative window: items beyond the remaining budget could never be
 	// committed, so they are not launched — and not counted. The committer
@@ -133,16 +101,6 @@ func (p *Pipeline) runPlan(ctx context.Context, workers int, batch []probe.Measu
 		st.Discarded += window - *budget
 		window = *budget
 	}
-	st.Batches++
-
-	// Warm the route cache for the batch's distinct destinations with full
-	// parallelism before the per-trace fan-out, so workers mostly hit the
-	// cache instead of serializing on singleflight propagation.
-	dests := make([]int, 0, window)
-	for _, m := range batch[:window] {
-		dests = append(dests, m.Target.AS)
-	}
-	st.PrefetchedRoutes += p.Engine.Cache.Warm(ctx, dests, workers)
 
 	// done[i] closes once item i is settled: traced (ran[i]) or passed
 	// over because ctx was cancelled first. Every index settles, so the
@@ -178,7 +136,6 @@ func (p *Pipeline) runPlan(ctx context.Context, workers int, batch []probe.Measu
 			break
 		}
 		*budget--
-		st.Committed++
 		committed++
 		commit(batch[i], p.Store.AddTrace(traces[i]))
 	}

@@ -33,9 +33,8 @@ func seededPipeline(seed int64) *Pipeline {
 }
 
 // TestRunMetroParallelDeterminism pins the pipeline's central contract:
-// with speculative fan-out enabled, every Result field except the Timings
-// telemetry is byte-identical to the MeasureWorkers=1 serial path — across
-// seeds, metros and worker counts.
+// every Result field except the Timings telemetry is byte-identical
+// between one and four measurement workers — across seeds and metros.
 func TestRunMetroParallelDeterminism(t *testing.T) {
 	for _, seed := range []int64{3, 9} {
 		base := seededPipeline(seed)
@@ -56,19 +55,10 @@ func TestRunMetroParallelDeterminism(t *testing.T) {
 				if ms.Workers != workers {
 					t.Fatalf("MeasureStats.Workers = %d, want %d", ms.Workers, workers)
 				}
-				if ms.Committed != res.Measurements {
-					t.Fatalf("workers %d: Committed %d != Measurements %d", workers, ms.Committed, res.Measurements)
-				}
-				if ms.Launched != ms.Committed {
+				if ms.Launched != res.Measurements {
 					// No cancellation and the window never exceeds the
 					// budget, so every launched trace commits.
-					t.Fatalf("workers %d: Launched %d != Committed %d", workers, ms.Launched, ms.Committed)
-				}
-				if workers == 1 && ms.Batches != 0 {
-					t.Fatalf("serial run went through the fan-out path (%d batches)", ms.Batches)
-				}
-				if workers > 1 && ms.Batches == 0 {
-					t.Fatalf("parallel run never used the fan-out path")
+					t.Fatalf("workers %d: Launched %d != Measurements %d", workers, ms.Launched, res.Measurements)
 				}
 				// Timings (including MeasureStats) are telemetry, outside
 				// the determinism contract.
@@ -76,7 +66,7 @@ func TestRunMetroParallelDeterminism(t *testing.T) {
 				results[workers] = res
 			}
 			if !reflect.DeepEqual(results[1], results[4]) {
-				t.Fatalf("seed %d metro %s: parallel result differs from serial", seed, metroName)
+				t.Fatalf("seed %d metro %s: result at four workers differs from one", seed, metroName)
 			}
 			// The sorted-row CSR invariant must survive the full run,
 			// including pickThreshold's shuffling of RowEntries results.
@@ -95,38 +85,38 @@ func TestRunMetroParallelDeterminism(t *testing.T) {
 
 // TestRunMetroBudgetUnderSpeculation forces a budget far smaller than the
 // bootstrap plan so the speculative window must truncate: the over-budget
-// tail may never be launched, counted or committed.
+// tail may never be launched, counted or committed, at any worker count.
 func TestRunMetroBudgetUnderSpeculation(t *testing.T) {
-	p := seededPipeline(6)
-	publicIssued := p.Engine.Issued()
-	metro := p.World.G.MetroOfName("Tokyo").Index
-	cfg := measureTestConfig()
-	cfg.MaxMeasurements = 37 // far below the bootstrap plan size
-	cfg.MeasureWorkers = 4
-	res, err := p.Snapshot().Run(context.Background(), metro, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Measurements != cfg.MaxMeasurements {
-		t.Fatalf("Measurements = %d, want exactly the budget %d", res.Measurements, cfg.MaxMeasurements)
-	}
-	ms := res.Timings.Measure
-	if ms.Committed != cfg.MaxMeasurements {
-		t.Fatalf("Committed = %d, want %d", ms.Committed, cfg.MaxMeasurements)
-	}
-	if ms.Launched != cfg.MaxMeasurements {
-		t.Fatalf("Launched = %d, want %d (over-budget tail must never launch)", ms.Launched, cfg.MaxMeasurements)
-	}
-	if ms.Discarded == 0 {
-		t.Fatalf("expected a discarded over-budget tail, got none")
-	}
-	// The engine counts every traceroute actually simulated: exactly the
-	// public seed plus the budget — speculation never over-issues here.
-	if got := p.Engine.Issued() - publicIssued; got != cfg.MaxMeasurements {
-		t.Fatalf("engine issued %d targeted traceroutes, want %d", got, cfg.MaxMeasurements)
-	}
-	if len(res.Calibrations) != res.Measurements {
-		t.Fatalf("calibrations %d != measurements %d", len(res.Calibrations), res.Measurements)
+	for _, workers := range []int{1, 4} {
+		p := seededPipeline(6)
+		publicIssued := p.Engine.Issued()
+		metro := p.World.G.MetroOfName("Tokyo").Index
+		cfg := measureTestConfig()
+		cfg.MaxMeasurements = 37 // far below the bootstrap plan size
+		cfg.MeasureWorkers = workers
+		res, err := p.Snapshot().Run(context.Background(), metro, cfg)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if res.Measurements != cfg.MaxMeasurements {
+			t.Fatalf("workers %d: Measurements = %d, want exactly the budget %d", workers, res.Measurements, cfg.MaxMeasurements)
+		}
+		ms := res.Timings.Measure
+		if ms.Launched != cfg.MaxMeasurements {
+			t.Fatalf("workers %d: Launched = %d, want %d (over-budget tail must never launch)", workers, ms.Launched, cfg.MaxMeasurements)
+		}
+		if ms.Discarded == 0 {
+			t.Fatalf("workers %d: expected a discarded over-budget tail, got none", workers)
+		}
+		// The engine counts every traceroute actually simulated: exactly
+		// the public seed plus the budget — speculation never over-issues
+		// here.
+		if got := p.Engine.Issued() - publicIssued; got != cfg.MaxMeasurements {
+			t.Fatalf("workers %d: engine issued %d targeted traceroutes, want %d", workers, got, cfg.MaxMeasurements)
+		}
+		if len(res.Calibrations) != res.Measurements {
+			t.Fatalf("workers %d: calibrations %d != measurements %d", workers, len(res.Calibrations), res.Measurements)
+		}
 	}
 }
 
@@ -160,61 +150,67 @@ func (c *countdownCtx) Err() error {
 // pipeline's cleanup contract: a prompt error wrapping ctx.Err(),
 // speculative traces discarded without being committed or counted against
 // the budget, the base store untouched, and no corruption of shared state
-// (a fresh snapshot still reproduces the uncancelled run exactly).
+// (a fresh snapshot still reproduces the uncancelled run exactly). One
+// worker runs the window inline on the fan-out goroutine, four race on
+// it; both must clean up the same way.
 func TestRunMetroParallelCancellation(t *testing.T) {
-	base := seededPipeline(7)
-	metro := base.World.G.MetroOfName("Tokyo").Index
-	cfg := measureTestConfig()
-	cfg.MeasureWorkers = 4
+	for _, workers := range []int{1, 4} {
+		base := seededPipeline(7)
+		metro := base.World.G.MetroOfName("Tokyo").Index
+		cfg := measureTestConfig()
+		cfg.MeasureWorkers = workers
 
-	before, err := base.Snapshot().Run(context.Background(), metro, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseEstimate := base.Store.Estimate(metro, base.World.G.Metros[metro].Members, cfg.NegPolicy)
-	issuedBefore := base.Engine.Issued()
+		before, err := base.Snapshot().Run(context.Background(), metro, cfg)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		baseEstimate := base.Store.Estimate(metro, base.World.G.Metros[metro].Members, cfg.NegPolicy)
+		issuedBefore := base.Engine.Issued()
 
-	// 40 polls: past the entry checks, inside the bootstrap fan-out.
-	ctx := newCountdownCtx(40)
-	res, err := base.Snapshot().Run(ctx, metro, cfg)
-	if err == nil {
-		t.Fatalf("expected cancellation error, got result with %d measurements", res.Measurements)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
-	}
+		// 40 polls: past the entry checks, inside the bootstrap fan-out.
+		ctx := newCountdownCtx(40)
+		res, err := base.Snapshot().Run(ctx, metro, cfg)
+		if err == nil {
+			t.Fatalf("workers %d: expected cancellation error, got result with %d measurements", workers, res.Measurements)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers %d: error %v does not wrap context.Canceled", workers, err)
+		}
 
-	// Budget may not be overrun by speculation even under cancellation:
-	// the window is capped at the budget before any trace launches.
-	if got := base.Engine.Issued() - issuedBefore; got > cfg.MaxMeasurements {
-		t.Fatalf("cancelled run issued %d traceroutes, budget is %d", got, cfg.MaxMeasurements)
-	}
+		// Budget may not be overrun by speculation even under
+		// cancellation: the window is capped at the budget before any
+		// trace launches.
+		if got := base.Engine.Issued() - issuedBefore; got > cfg.MaxMeasurements {
+			t.Fatalf("workers %d: cancelled run issued %d traceroutes, budget is %d", workers, got, cfg.MaxMeasurements)
+		}
 
-	// The snapshot isolated the cancelled run: the base store is unchanged.
-	after := base.Store.Estimate(metro, base.World.G.Metros[metro].Members, cfg.NegPolicy)
-	if !reflect.DeepEqual(baseEstimate, after) {
-		t.Fatalf("cancelled run leaked observations into the base store")
-	}
+		// The snapshot isolated the cancelled run: the base store is
+		// unchanged.
+		after := base.Store.Estimate(metro, base.World.G.Metros[metro].Members, cfg.NegPolicy)
+		if !reflect.DeepEqual(baseEstimate, after) {
+			t.Fatalf("workers %d: cancelled run leaked observations into the base store", workers)
+		}
 
-	// Shared state (engine caches) survived intact: a fresh snapshot still
-	// reproduces the original run byte-for-byte.
-	again, err := base.Snapshot().Run(context.Background(), metro, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before.Timings = PhaseTimings{}
-	again.Timings = PhaseTimings{}
-	if !reflect.DeepEqual(before, again) {
-		t.Fatalf("run after cancellation differs from run before it")
+		// Shared state (engine caches) survived intact: a fresh snapshot
+		// still reproduces the original run byte-for-byte.
+		again, err := base.Snapshot().Run(context.Background(), metro, cfg)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		before.Timings = PhaseTimings{}
+		again.Timings = PhaseTimings{}
+		if !reflect.DeepEqual(before, again) {
+			t.Fatalf("workers %d: run after cancellation differs from run before it", workers)
+		}
 	}
 }
 
 // TestMeasureStatsMerge pins the engine-side aggregation primitive.
 func TestMeasureStatsMerge(t *testing.T) {
-	a := MeasureStats{Workers: 2, Batches: 3, Launched: 10, Committed: 9, Discarded: 1, PrefetchedRoutes: 4, Wall: time.Second}
-	b := MeasureStats{Workers: 8, Batches: 1, Launched: 5, Committed: 5, PrefetchedRoutes: 2, Wall: time.Second}
+	a := MeasureStats{Workers: 2, Launched: 10, Discarded: 1, Wall: time.Second}
+	b := MeasureStats{Workers: 8, Launched: 5, Wall: time.Second}
 	a.Merge(b)
-	want := MeasureStats{Workers: 8, Batches: 4, Launched: 15, Committed: 14, Discarded: 1, PrefetchedRoutes: 6, Wall: 2 * time.Second}
+	want := MeasureStats{Workers: 8, Launched: 15, Discarded: 1, Wall: 2 * time.Second}
 	if a != want {
 		t.Fatalf("Merge = %+v, want %+v", a, want)
 	}

@@ -62,10 +62,10 @@ type Config struct {
 	// final completion.
 	Tune bool
 	// MeasureWorkers bounds the speculative traceroute fan-out of the
-	// measurement pipeline (see measure.go): 0 means GOMAXPROCS, 1 is the
-	// exact legacy serial path, N > 1 runs each batch's traceroutes on up
-	// to N workers with an ordered commit. The resulting Result is
-	// byte-identical across worker counts.
+	// measurement pipeline (see measure.go): each batch's traceroutes run
+	// on up to N workers (0 means GOMAXPROCS) beside one goroutine that
+	// commits them in batch order. The resulting Result is byte-identical
+	// across worker counts.
 	MeasureWorkers int
 	// MaxMetroMembers caps the colocated candidate set a metro run works
 	// over: metros with more members are pruned to the top-K by
@@ -99,8 +99,6 @@ func DefaultConfig() Config {
 type Calibration struct {
 	P           float64
 	Informative bool
-	FoundLink   bool // an existing link was revealed
-	FoundNon    bool // non-existence evidence was revealed
 	Exploration bool
 	// Measurement details, for analysis. Strat's four bytes share the
 	// flags' word, keeping the record at 64 bytes: every Result keeps
@@ -136,8 +134,8 @@ type PhaseTimings struct {
 	// add it.
 	Estimate time.Duration
 	// Measure counts the speculative fan-out work of the measurement
-	// pipeline (batches, launched/committed/discarded traceroutes,
-	// prefetched routes). Its wall-clock is a subset of Bootstrap+RankLoop.
+	// pipeline (launched and discarded traceroutes). Its wall-clock is a
+	// subset of Bootstrap+RankLoop.
 	Measure MeasureStats
 	// Allocs counts heap allocations attributed to each phase, sampled as
 	// runtime.ReadMemStats deltas at the same boundaries as the wall-clock

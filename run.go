@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"metascritic/internal/als"
-	"metascritic/internal/asgraph"
 	"metascritic/internal/mat"
 	"metascritic/internal/obs"
 	"metascritic/internal/probe"
@@ -194,14 +193,7 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 		p.runPlan(ctx, workers, plan, &budget, mstats, func(m probe.Measurement, findings []obs.Finding) {
 			res.Measurements++
 			res.BootstrapMeasurements++
-			informative := false
-			want := asgraph.MakePair(m.LinkI, m.LinkJ)
-			for _, f := range findings {
-				if f.Pair == want {
-					informative = true
-					break
-				}
-			}
+			informative := obs.Reveals(findings, m.LinkI, m.LinkJ)
 			sel.Report(m, informative)
 			// Recorded as exploration-like: Fig. 4 calibration excludes
 			// bootstrap probes since they are not P-selected.
@@ -264,25 +256,11 @@ func (p *Pipeline) Run(ctx context.Context, metro int, cfg Config) (*Result, err
 			}
 			p.runPlan(ctx, workers, batch, &budget, mstats, func(m probe.Measurement, findings []obs.Finding) {
 				res.Measurements++
-				informative, foundLink, foundNon := false, false, false
-				want := asgraph.MakePair(m.LinkI, m.LinkJ)
-				for _, f := range findings {
-					if f.Pair == want {
-						informative = true
-						if f.Direct {
-							foundLink = true
-						} else {
-							foundNon = true
-						}
-					}
-				}
+				informative := obs.Reveals(findings, m.LinkI, m.LinkJ)
 				sel.Report(m, informative)
 				res.Calibrations = append(res.Calibrations, Calibration{
-					P: m.P, Informative: informative,
-					FoundLink: foundLink, FoundNon: foundNon,
-					Exploration: m.Exploration,
-					VP:          m.VP, Target: m.Target,
-					LinkI: m.LinkI, LinkJ: m.LinkJ, Strat: m.Strat,
+					P: m.P, Informative: informative, Exploration: m.Exploration,
+					VP: m.VP, Target: m.Target, LinkI: m.LinkI, LinkJ: m.LinkJ, Strat: m.Strat,
 				})
 			})
 			refresh()

@@ -1,10 +1,11 @@
 package metascritic_test
 
-// End-to-end benchmark of the per-metro pipeline, serial vs speculative
-// fan-out (measure.go). Each iteration runs over a snapshot of a shared
-// seeded pipeline but with a cold traceroute engine, so the measured work
-// includes the route propagations a fresh measurement campaign pays — the
-// cost the speculative prefetch + fan-out is designed to parallelize.
+// End-to-end benchmark of the per-metro pipeline at one and four
+// measurement workers (measure.go). Each iteration runs over a snapshot of
+// a shared seeded pipeline but with a cold traceroute engine, so the
+// measured work includes the route propagations a fresh measurement
+// campaign pays — the cost the speculative fan-out is designed to
+// parallelize.
 // Scale with METASCRITIC_BENCH_SCALE like the experiment benchmarks.
 //
 // Comparing wall-clock recorded in different sessions is unreliable: a
@@ -74,9 +75,7 @@ func BenchmarkRunMetro(b *testing.B) {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					ms := res.Timings.Measure
 					b.ReportMetric(float64(res.Measurements), "measurements")
-					b.ReportMetric(float64(ms.PrefetchedRoutes), "prefetched-routes")
 				}
 			}
 		})

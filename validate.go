@@ -35,7 +35,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: MaxMetroMembers must be non-negative (0 = no cap), got %d", ErrInvalidConfig, c.MaxMetroMembers)
 	}
 	if c.MeasureWorkers < 0 {
-		return fmt.Errorf("%w: MeasureWorkers must be non-negative (0 = GOMAXPROCS, 1 = serial), got %d", ErrInvalidConfig, c.MeasureWorkers)
+		return fmt.Errorf("%w: MeasureWorkers must be non-negative (0 = GOMAXPROCS), got %d", ErrInvalidConfig, c.MeasureWorkers)
 	}
 	if err := c.Rank.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
