@@ -11,7 +11,7 @@ BASE ?= HEAD
 PAIRS ?= 10
 PROFILE_DIR ?= profiles
 
-.PHONY: build test check loc bench bench-engine bench-100k bench-compare profile race-run clean
+.PHONY: build test check experiments-check loc bench bench-engine bench-100k bench-compare profile race-run clean
 
 build:
 	$(GO) build ./...
@@ -24,13 +24,28 @@ test:
 # fan-out (par.For) runs over shared read-only state, so a race-clean
 # pass is part of the pipeline's contract. perfbench/ is a nested module
 # that `go build ./...` never compiles, yet it reads the pipeline's
-# Result, PhaseTimings and ALS API, so it is vetted here as well.
+# Result, PhaseTimings and ALS API, so it is vetted here as well. Last,
+# experiments-check pins every table of the experiments report.
 check:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) -C perfbench vet ./...
 	$(GO) test -race ./...
+	$(MAKE) experiments-check
+
+# experiments-check regenerates the experiments report with EXPERIMENTS.md's
+# command and diffs its stdout against experiments_output.txt. Only the
+# wall-clock lines are dropped from both sides, so any other difference
+# (a table value, a count, a line) fails the check.
+EXPERIMENTS_ARGS = -scale 0.25 -seed 1 -budget 12000
+EXPERIMENTS_TIMING = completed in|world ready in|all experiments done in
+experiments-check:
+	@set -e; got=$$(mktemp); want=$$(mktemp); trap 'rm -f "$$got" "$$want"' EXIT; \
+	$(GO) run ./cmd/experiments $(EXPERIMENTS_ARGS) > "$$got"; \
+	grep -Ev '$(EXPERIMENTS_TIMING)' experiments_output.txt > "$$want"; \
+	grep -Ev '$(EXPERIMENTS_TIMING)' "$$got" | diff -u "$$want" -; \
+	echo "experiments-check: report matches experiments_output.txt"
 
 # loc prints the tree's Go line counts: non-test lines without the
 # perfbench/ module, and test lines. A subtraction reports both before and

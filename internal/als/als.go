@@ -8,8 +8,10 @@
 //
 // The completion kernel lives in Problem (problem.go): the per-row
 // observation structure is built once per (E, mask, features) and reused
-// across holdout draws, tune grid points, and rank candidates. Complete,
-// HoldoutMSE and Tune are the one-shot conveniences layered on top.
+// across holdout draws, tune grid points, and rank candidates. Fit solves
+// for the factors; the completion is read from them, a few cells through
+// Factors.Rating or the whole AS block through Problem.Ratings. HoldoutMSE
+// and TuneWith are the holdout-scoring conveniences layered on top.
 package als
 
 import (
@@ -38,20 +40,6 @@ type Options struct {
 // DefaultOptions returns sensible defaults for a given rank.
 func DefaultOptions(rank int) Options {
 	return Options{Rank: rank, Lambda: 0.08, FeatureWeight: 0.35, Iterations: 12, Seed: 1}
-}
-
-// Complete runs hybrid ALS over the estimated matrix E (n×n, symmetric,
-// entries meaningful only where mask is set) augmented with the feature
-// matrix (n×f, one row per AS; columns are normalized internally). It
-// returns the completed n×n rating matrix with entries clipped to [-1, 1].
-//
-// Callers completing the same (E, mask, features) more than once should
-// build a Problem and reuse it instead.
-func Complete(E mat.View, mask *mat.Mask, features *mat.Matrix, opts Options) *mat.Matrix {
-	if opts.FeatureWeight <= 0 {
-		features = nil
-	}
-	return NewProblem(E, mask, features).Complete(opts, nil)
 }
 
 // normalizeColumns rescales each feature column to [-1, 1] (max-abs after

@@ -38,12 +38,23 @@ func maskFraction(n int, p float64, rng *rand.Rand) *mat.Mask {
 	return mk
 }
 
+// complete is the one-shot completion the tests score: a fresh Problem
+// (features dropped when they carry no weight, as the pipeline does), Fit,
+// and the Ratings triangle.
+func complete(E mat.View, mask *mat.Mask, features *mat.Matrix, opts Options) *mat.Sym {
+	if opts.FeatureWeight <= 0 {
+		features = nil
+	}
+	out, _ := NewProblem(E, mask, features).CompleteFactors(opts, nil, nil)
+	return out
+}
+
 func TestCompleteRecoversLowRank(t *testing.T) {
 	n, r := 60, 4
 	truth := lowRankMatrix(n, r, 1)
 	rng := rand.New(rand.NewSource(2))
 	mask := maskFraction(n, 0.5, rng)
-	got := Complete(truth, mask, nil, Options{Rank: 8, Lambda: 0.02, Iterations: 20, Seed: 3})
+	got := complete(truth, mask, nil, Options{Rank: 8, Lambda: 0.02, Iterations: 20, Seed: 3})
 	// Error on the UNOBSERVED entries must be small.
 	var se float64
 	cnt := 0
@@ -68,13 +79,14 @@ func TestCompleteOutputSymmetricAndClipped(t *testing.T) {
 	truth := lowRankMatrix(n, 3, 4)
 	rng := rand.New(rand.NewSource(5))
 	mask := maskFraction(n, 0.3, rng)
-	got := Complete(truth, mask, nil, DefaultOptions(5))
-	if !got.IsSymmetric(1e-9) {
-		t.Fatalf("completion not symmetric")
-	}
-	for _, v := range got.Data {
-		if v < -1-1e-12 || v > 1+1e-12 {
-			t.Fatalf("rating out of range: %v", v)
+	got := complete(truth, mask, nil, DefaultOptions(5))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if v := got.At(i, j); v != got.At(j, i) {
+				t.Fatalf("completion not symmetric at (%d,%d)", i, j)
+			} else if v < -1-1e-12 || v > 1+1e-12 {
+				t.Fatalf("rating out of range: %v", v)
+			}
 		}
 	}
 }
@@ -84,11 +96,13 @@ func TestCompleteDeterministic(t *testing.T) {
 	truth := lowRankMatrix(n, 3, 6)
 	rng := rand.New(rand.NewSource(7))
 	mask := maskFraction(n, 0.4, rng)
-	a := Complete(truth, mask, nil, DefaultOptions(4))
-	b := Complete(truth, mask, nil, DefaultOptions(4))
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("non-deterministic completion at %d", i)
+	a := complete(truth, mask, nil, DefaultOptions(4))
+	b := complete(truth, mask, nil, DefaultOptions(4))
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			if a.At(i, j) != b.At(i, j) {
+				t.Fatalf("non-deterministic completion at (%d,%d)", i, j)
+			}
 		}
 	}
 }
@@ -124,10 +138,10 @@ func TestFeaturesHelpColdRows(t *testing.T) {
 			}
 		}
 	}
-	withF := Complete(truth, mask, features, Options{Rank: 6, Lambda: 0.05, FeatureWeight: 0.8, Iterations: 20, Seed: 9})
-	noF := Complete(truth, mask, nil, Options{Rank: 6, Lambda: 0.05, Iterations: 20, Seed: 9})
+	withF := complete(truth, mask, features, Options{Rank: 6, Lambda: 0.05, FeatureWeight: 0.8, Iterations: 20, Seed: 9})
+	noF := complete(truth, mask, nil, Options{Rank: 6, Lambda: 0.05, Iterations: 20, Seed: 9})
 	// Compare accuracy on the cold rows 0..3.
-	errOf := func(m *mat.Matrix) float64 {
+	errOf := func(m *mat.Sym) float64 {
 		var se float64
 		cnt := 0
 		for i := 0; i < 4; i++ {
@@ -193,10 +207,12 @@ func TestCompleteEdgeCases(t *testing.T) {
 	// Empty mask: completion collapses to ~0 ratings.
 	n := 10
 	E := mat.New(n, n)
-	got := Complete(E, mat.NewMask(n), nil, DefaultOptions(3))
-	for _, v := range got.Data {
-		if math.Abs(v) > 0.2 {
-			t.Fatalf("no-data completion should be near zero, got %v", v)
+	got := complete(E, mat.NewMask(n), nil, DefaultOptions(3))
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			if v := got.At(i, j); math.Abs(v) > 0.2 {
+				t.Fatalf("no-data completion should be near zero, got %v", v)
+			}
 		}
 	}
 	// Rank larger than dimension is clamped, not fatal.
@@ -204,9 +220,9 @@ func TestCompleteEdgeCases(t *testing.T) {
 	mask := mat.NewMask(6)
 	mask.Set(0, 1)
 	mask.Set(2, 3)
-	_ = Complete(E2, mask, nil, Options{Rank: 100, Lambda: 0.1, Iterations: 3, Seed: 1})
+	_ = complete(E2, mask, nil, Options{Rank: 100, Lambda: 0.1, Iterations: 3, Seed: 1})
 	// Zero iterations is bumped to one.
-	_ = Complete(E2, mask, nil, Options{Rank: 2, Lambda: 0.1, Iterations: 0, Seed: 1})
+	_ = complete(E2, mask, nil, Options{Rank: 2, Lambda: 0.1, Iterations: 0, Seed: 1})
 }
 
 func TestNormalizeColumns(t *testing.T) {
@@ -229,9 +245,12 @@ func TestNormalizeColumns(t *testing.T) {
 }
 
 // TestFitRatingMatchesComplete requires Fit's factors, read cell by cell
-// through Rating and whole through the Ratings triangle, to equal
-// CompleteFactors's dense matrix bit for bit: cold and warm starts, with
-// and without features, and with a holdout overlay.
+// through Rating and whole through the Ratings triangle, to equal the
+// golden oracle bit for bit, with and without features and with and
+// without a holdout overlay (the oracle runs on a cloned mask with the
+// same entries unset). Warm-started fits, which the oracle does not
+// cover, must read the same through Rating and Ratings, and
+// CompleteFactors must return exactly Fit's factors and their triangle.
 func TestFitRatingMatchesComplete(t *testing.T) {
 	n := 30
 	truth := lowRankMatrix(n, 3, 5)
@@ -242,37 +261,51 @@ func TestFitRatingMatchesComplete(t *testing.T) {
 		features.Data[i] = rng.NormFloat64()
 	}
 	ov := mat.NewOverlay(mask)
+	work := mask.Clone()
 	mask.Entries(func(i, j int) {
 		if rng.Intn(5) == 0 {
 			ov.Remove(i, j)
+			work.Unset(i, j)
 		}
 	})
+	bitsEqual := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	for _, feat := range []*mat.Matrix{nil, features} {
 		p := NewProblem(truth, mask, feat)
 		var warm *Factors
 		for _, holdout := range []*mat.Overlay{nil, ov} {
+			oracleMask := mask
+			if holdout != nil {
+				oracleMask = work
+			}
 			for rank := 1; rank <= 4; rank++ {
 				opts := DefaultOptions(rank)
-				dense, fa := p.CompleteFactors(opts, holdout, warm)
-				if fit := p.Fit(opts, holdout, warm); !slices.Equal(fit.P.Data, fa.P.Data) || !slices.Equal(fit.Q.Data, fa.Q.Data) {
-					t.Fatalf("rank %d: Fit's factors differ from CompleteFactors's", rank)
-				}
+				fa := p.Fit(opts, holdout, nil)
 				tri := p.Ratings(fa)
 				if tri.N() != n {
 					t.Fatalf("rank %d: triangle of %d rows for %d", rank, tri.N(), n)
 				}
+				want := referenceComplete(truth, oracleMask, feat, opts)
+				requireCells(t, tri, want)
 				for i := 0; i < n; i++ {
 					for j := 0; j < n; j++ {
-						want := math.Float64bits(dense.At(i, j))
-						if got := math.Float64bits(fa.Rating(i, j)); got != want {
-							t.Fatalf("rank %d: Rating(%d,%d) = %v, dense %v", rank, i, j, fa.Rating(i, j), dense.At(i, j))
-						}
-						if got := math.Float64bits(tri.At(i, j)); got != want {
-							t.Fatalf("rank %d: triangle (%d,%d) = %v, dense %v", rank, i, j, tri.At(i, j), dense.At(i, j))
+						if got := fa.Rating(i, j); !bitsEqual(got, want.At(i, j)) {
+							t.Fatalf("rank %d: Rating(%d,%d) = %v, oracle %v", rank, i, j, got, want.At(i, j))
 						}
 					}
 				}
-				warm = fa
+
+				wtri, wfa := p.CompleteFactors(opts, holdout, warm)
+				if fit := p.Fit(opts, holdout, warm); !slices.Equal(fit.P.Data, wfa.P.Data) || !slices.Equal(fit.Q.Data, wfa.Q.Data) {
+					t.Fatalf("rank %d: Fit's factors differ from CompleteFactors's", rank)
+				}
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if got, want := wfa.Rating(i, j), wtri.At(i, j); !bitsEqual(got, want) {
+							t.Fatalf("rank %d warm: Rating(%d,%d) = %v, triangle %v", rank, i, j, got, want)
+						}
+					}
+				}
+				warm = wfa
 			}
 		}
 	}

@@ -38,7 +38,7 @@ func BenchmarkComplete(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Complete(E, mask, feat, opts)
+				NewProblem(E, mask, feat).CompleteFactors(opts, nil, nil)
 			}
 		})
 	}

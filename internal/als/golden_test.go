@@ -1,6 +1,7 @@
 package als
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -8,10 +9,11 @@ import (
 	"metascritic/internal/mat"
 )
 
-// referenceComplete is the seed (pre-Problem) implementation of Complete,
-// kept verbatim as the golden oracle: per-call observation rebuild with an
-// explicit weight per entry, sequential rating reconstruction. The CSR
-// Problem path must reproduce its output bit-for-bit.
+// referenceComplete is the seed (pre-Problem) implementation of the
+// completion, kept verbatim as the golden oracle: per-call observation
+// rebuild with an explicit weight per entry, sequential dense rating
+// reconstruction. Every cell that Fit's factors yield, through
+// Factors.Rating or the Ratings triangle, must reproduce it bit-for-bit.
 func referenceComplete(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, opts Options) *mat.Matrix {
 	n := E.Rows
 	f := 0
@@ -135,10 +137,22 @@ func referenceComplete(E *mat.Matrix, mask *mat.Mask, features *mat.Matrix, opts
 	return out
 }
 
-// TestGoldenEquivalence pins the tentpole contract: the CSR mask +
-// als.Problem path produces byte-identical output to the seed
-// implementation for fixed seeds, across featureless, featured, diagonal-
-// bearing, and rank-clamped configurations.
+// requireCells fails unless got holds every cell of want bit for bit.
+func requireCells(t *testing.T, got mat.View, want *mat.Matrix) {
+	t.Helper()
+	for i := 0; i < want.Rows; i++ {
+		for j := 0; j < want.Cols; j++ {
+			if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("cell (%d,%d) differs: got %v want %v", i, j, g, w)
+			}
+		}
+	}
+}
+
+// TestGoldenEquivalence pins the completion contract: the CSR mask +
+// als.Problem path, read through Fit and Ratings, produces byte-identical
+// output to the seed implementation for fixed seeds, across featureless,
+// featured, diagonal-bearing, and rank-clamped configurations.
 func TestGoldenEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, tc := range []struct {
@@ -164,20 +178,14 @@ func TestGoldenEquivalence(t *testing.T) {
 					features.Data[i] = rng.NormFloat64()
 				}
 			}
-			want := referenceComplete(E, mask, features, tc.opts)
-			got := Complete(E, mask, features, tc.opts)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("entry %d differs: got %v want %v", i, got.Data[i], want.Data[i])
-				}
-			}
+			requireCells(t, complete(E, mask, features, tc.opts), referenceComplete(E, mask, features, tc.opts))
 		})
 	}
 }
 
-// TestOverlayHoldoutEquivalence pins the holdout delta path: completing a
-// Problem with an Overlay must be bit-identical to unsetting the same
-// entries from a cloned mask and rebuilding.
+// TestOverlayHoldoutEquivalence pins the holdout delta path: fitting a
+// Problem with an Overlay must be bit-identical to the oracle run on a
+// cloned mask with the same entries unset.
 func TestOverlayHoldoutEquivalence(t *testing.T) {
 	n := 40
 	E := lowRankMatrix(n, 4, 17)
@@ -202,18 +210,14 @@ func TestOverlayHoldoutEquivalence(t *testing.T) {
 	for _, h := range holdout {
 		work.Unset(h[0], h[1])
 	}
-	want := Complete(E, work, features, opts)
+	want := referenceComplete(E, work, features, opts)
 
 	ov := mat.NewOverlay(mask)
 	for _, h := range holdout {
 		ov.Remove(h[0], h[1])
 	}
-	got := NewProblem(E, mask, features).Complete(opts, ov)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("entry %d differs: got %v want %v", i, got.Data[i], want.Data[i])
-		}
-	}
+	p := NewProblem(E, mask, features)
+	requireCells(t, p.Ratings(p.Fit(opts, ov, nil)), want)
 	// The overlay must not have leaked into the caller's mask.
 	for _, h := range holdout {
 		if !mask.Has(h[0], h[1]) {
@@ -224,7 +228,7 @@ func TestOverlayHoldoutEquivalence(t *testing.T) {
 
 // TestWarmStartDeterministic pins the warm-start determinism contract: the
 // same problem, options, and warm factors produce identical output, and a
-// nil warm start reproduces the cold path exactly.
+// nil warm start reproduces the cold oracle exactly.
 func TestWarmStartDeterministic(t *testing.T) {
 	n := 30
 	E := lowRankMatrix(n, 3, 23)
@@ -241,9 +245,11 @@ func TestWarmStartDeterministic(t *testing.T) {
 	optsHi := Options{Rank: 5, Lambda: 0.08, Iterations: 6, Seed: 12}
 	a, fa := p.CompleteFactors(optsHi, nil, warm)
 	b, fb := p.CompleteFactors(optsHi, nil, warm)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("warm-started completion not deterministic at %d", i)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			if a.At(i, j) != b.At(i, j) {
+				t.Fatalf("warm-started completion not deterministic at (%d,%d)", i, j)
+			}
 		}
 	}
 	for i := range fa.P.Data {
@@ -252,11 +258,6 @@ func TestWarmStartDeterministic(t *testing.T) {
 		}
 	}
 
-	cold1, _ := p.CompleteFactors(optsHi, nil, nil)
-	cold2 := Complete(E, mask, nil, optsHi)
-	for i := range cold1.Data {
-		if cold1.Data[i] != cold2.Data[i] {
-			t.Fatalf("nil warm start must equal the cold path (entry %d)", i)
-		}
-	}
+	cold, _ := p.CompleteFactors(optsHi, nil, nil)
+	requireCells(t, cold, referenceComplete(E, mask, nil, optsHi))
 }

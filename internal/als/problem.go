@@ -20,8 +20,8 @@ import (
 // stored values — so it is invalidated by ANY mutation of the mask (Set/
 // Unset/Reset) or of E's observed entries after construction; rebuild
 // with NewProblem after targeted measurements land. Holdout draws must NOT
-// mutate the mask: express them as a mat.Overlay and pass it to Complete/
-// CompleteFactors, which applies the removals as per-row deltas.
+// mutate the mask: express them as a mat.Overlay and pass it to Fit, which
+// applies the removals as per-row deltas.
 //
 // The link-vs-feature balance is NOT baked in: links weigh 1 and feature
 // entries weigh Options.FeatureWeight at solve time, so one Problem serves
@@ -97,23 +97,17 @@ func (fa *Factors) Rank() int { return fa.P.Cols }
 // perturb the converged subspace being carried over.
 const warmPadScale = 0.02
 
-// Complete solves the problem at the given options, with holdout (optional,
-// may be nil) applied as per-row removals. The result is bit-identical to
-// rebuilding the problem with the holdout entries unset from the mask.
-func (p *Problem) Complete(opts Options, holdout *mat.Overlay) *mat.Matrix {
-	out, _ := p.CompleteFactors(opts, holdout, nil)
-	return out
-}
-
-// CompleteFactors is Fit followed by the dense n×n completion of the AS
-// block: the symmetrized rating product clipped to [-1, 1].
-func (p *Problem) CompleteFactors(opts Options, holdout *mat.Overlay, warm *Factors) (*mat.Matrix, *Factors) {
+// CompleteFactors is Fit followed by Ratings: the completion of the AS
+// block as one triangle, and the factors it was read from.
+func (p *Problem) CompleteFactors(opts Options, holdout *mat.Overlay, warm *Factors) (*mat.Sym, *Factors) {
 	fa := p.Fit(opts, holdout, warm)
-	return p.reconstruct(fa), fa
+	return p.Ratings(fa), fa
 }
 
 // Fit solves the problem at the given options, with holdout (optional, may
 // be nil) applied as per-row removals, and returns the factor matrices.
+// The fit is bit-identical to rebuilding the problem with the holdout
+// entries unset from the mask.
 // When warm is non-nil and dimensionally compatible, the factors are
 // initialized from it — the first min(k, warm.Rank()) columns are copied,
 // and any new columns are filled with small noise drawn from a rand.Rand
@@ -123,8 +117,8 @@ func (p *Problem) CompleteFactors(opts Options, holdout *mat.Overlay, warm *Fact
 // call.
 //
 // Callers that read only a few cells of the completion (a holdout's
-// entries) read them through Factors.Rating instead of building the n×n
-// matrix.
+// entries) read them through Factors.Rating; callers that score the whole
+// AS block read the Ratings triangle.
 func (p *Problem) Fit(opts Options, holdout *mat.Overlay, warm *Factors) *Factors {
 	n, f := p.n, p.f
 	dim := n + f
@@ -173,7 +167,7 @@ func (p *Problem) Fit(opts Options, holdout *mat.Overlay, warm *Factors) *Factor
 }
 
 // solverScratch is one row solve's normal-equation workspace, pooled across
-// solves: the rank-estimation loop calls Complete hundreds of times and the
+// solves: the rank-estimation loop calls Fit hundreds of times and the
 // k×k system matrices are identically shaped within a sweep.
 type solverScratch struct {
 	buf  []float64 // backing for the k×k system matrix
@@ -292,8 +286,8 @@ func (p *Problem) solveRow(i int, obs []observation, fixed *mat.Matrix, out []fl
 }
 
 // Rating returns cell (i, j) of the completion, clipped to [-1, 1]: the
-// value the dense completion (CompleteFactors) and the triangle (Ratings)
-// hold at (i, j) and at (j, i), bit for bit. i and j index the AS block.
+// value the triangle (Ratings) holds at (i, j) and at (j, i), bit for bit.
+// i and j index the AS block.
 func (fa *Factors) Rating(i, j int) float64 {
 	if i > j {
 		i, j = j, i
@@ -302,8 +296,8 @@ func (fa *Factors) Rating(i, j int) float64 {
 }
 
 // rating is the symmetrized product of rows i <= j of the factors,
-// clipped to [-1, 1]. Every completion cell is computed here, so the dense
-// matrix, the triangle and Factors.Rating agree bit for bit.
+// clipped to [-1, 1]. Every completion cell is computed here, so the
+// triangle and Factors.Rating agree bit for bit.
 func rating(pi, qi, pj, qj []float64) float64 {
 	var a, b float64
 	for d := range pi {
@@ -313,27 +307,9 @@ func rating(pi, qi, pj, qj []float64) float64 {
 	return clip((a+b)/2, -1, 1)
 }
 
-// reconstruct forms the dense completion of the AS block. The O(n²·k)
-// loop is partitioned by row through par.For: row i writes the pairs
-// (i, j≥i) and their mirrors, so every pair is computed exactly once and
-// the output is bit-identical to the sequential loop.
-func (p *Problem) reconstruct(fa *Factors) *mat.Matrix {
-	n := p.n
-	out := mat.New(n, n)
-	par.For(n, 0, func(_, i int) {
-		pi, qi := fa.P.Row(i), fa.Q.Row(i)
-		for j := i; j < n; j++ {
-			v := rating(pi, qi, fa.P.Row(j), fa.Q.Row(j))
-			out.Set(i, j, v)
-			out.Set(j, i, v)
-		}
-	})
-	return out
-}
-
-// Ratings forms the completion of the AS block as one triangle: the cells
-// CompleteFactors's dense matrix holds, at half its bytes. Rows are
-// filled through par.For, each writing only its own stored cells.
+// Ratings forms the completion of the AS block as one triangle, (i, j)
+// and (j, i) sharing one stored cell. Rows are filled through par.For,
+// each writing only its own stored cells.
 func (p *Problem) Ratings(fa *Factors) *mat.Sym {
 	out := mat.NewSym(p.n)
 	par.For(p.n, 0, func(_, i int) {

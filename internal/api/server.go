@@ -553,7 +553,9 @@ type statsResponse struct {
 	} `json:"world"`
 	ServedMetros []string `json:"served_metros"`
 	ActiveRuns   int      `json:"active_runs"`
-	TotalRuns    int      `json:"total_runs"`
+	// TotalRuns counts every accepted run submission, including runs whose
+	// records the run manager has since dropped from its history.
+	TotalRuns int `json:"total_runs"`
 	// LastRun is the engine's aggregated statistics for the most
 	// recently committed batch (engine.RunStats; durations in ns).
 	LastRun *engine.RunStats `json:"last_run,omitempty"`
@@ -601,7 +603,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		out.ServedMetros = append(out.ServedMetros, g.Metros[m].Name)
 	}
 	out.ActiveRuns = s.runs.Active()
-	out.TotalRuns = len(s.runs.List())
+	out.TotalRuns = s.runs.Submitted()
 	out.LastRun = s.lastRun.Load()
 	out.Ingest.Batches = s.ingestBatches.Load()
 	out.Ingest.Events = s.ingestEvents.Load()

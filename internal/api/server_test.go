@@ -17,6 +17,7 @@ import (
 
 	"metascritic"
 	"metascritic/internal/api/snapshot"
+	"metascritic/internal/engine"
 	"metascritic/internal/mat"
 	"metascritic/internal/obs"
 	"metascritic/internal/probe"
@@ -298,6 +299,76 @@ func TestSubmitRunValidation(t *testing.T) {
 	}
 	if len(list.Runs) != 0 {
 		t.Fatalf("rejected submissions created run records: %s", rec.Body.String())
+	}
+}
+
+// TestRunHistoryBounded submits more runs than the run manager keeps
+// finished records of, in waves that each finish before the next: the
+// list keeps only the latest engine.MaxFinishedRuns, the oldest runs poll
+// as 404, and /admin/stats still counts every submission.
+func TestRunHistoryBounded(t *testing.T) {
+	testFixture(t)
+	base := fixture.base
+	base.MaxMeasurements = 60
+	s := testServer(t, Options{Base: base})
+	h := s.Handler()
+	total := engine.MaxFinishedRuns + 2
+	body := fmt.Sprintf(`{"metros": [%q]}`, fixture.metro)
+	deadline := time.Now().Add(2 * time.Minute)
+	for submitted := 0; submitted < total; {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusAccepted:
+			submitted++
+			if submitted < total {
+				continue
+			}
+		case http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("submit %d: %d %s", submitted+1, rec.Code, rec.Body.String())
+		}
+		// The wave is full (or the last one is in): let it finish.
+		for s.Runs().Active() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("runs still active after %d submissions", submitted)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	res, out := get(t, h, "/v1/runs")
+	var list struct {
+		Runs []struct{ ID, State string }
+	}
+	if err := json.Unmarshal([]byte(out), &list); err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("list runs: %d %s", res.StatusCode, out)
+	}
+	if len(list.Runs) != engine.MaxFinishedRuns {
+		t.Fatalf("listed %d runs after %d submissions, want the latest %d", len(list.Runs), total, engine.MaxFinishedRuns)
+	}
+	for _, r := range list.Runs {
+		if r.State != "done" {
+			t.Fatalf("run %s ended %s, want done", r.ID, r.State)
+		}
+	}
+	if first, last := list.Runs[0].ID, list.Runs[len(list.Runs)-1].ID; first != "run-0003" || last != fmt.Sprintf("run-%04d", total) {
+		t.Fatalf("listed runs %s..%s, want run-0003..run-%04d", first, last, total)
+	}
+	for id, want := range map[string]int{"run-0001": 404, "run-0002": 404, "run-0003": 200} {
+		if res, out := get(t, h, "/v1/runs/"+id); res.StatusCode != want {
+			t.Fatalf("GET /v1/runs/%s: %d, want %d (%s)", id, res.StatusCode, want, out)
+		}
+	}
+	_, out = get(t, h, "/admin/stats")
+	var stats struct {
+		TotalRuns int `json:"total_runs"`
+	}
+	if err := json.Unmarshal([]byte(out), &stats); err != nil || stats.TotalRuns != total {
+		t.Fatalf("total_runs = %d (%v), want %d", stats.TotalRuns, err, total)
+	}
+	if err := s.Runs().Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 }
 

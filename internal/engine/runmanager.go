@@ -25,6 +25,12 @@ import (
 // holds its snapshot's memory.
 const maxActiveRuns = 4
 
+// MaxFinishedRuns bounds the finished (done, failed or canceled) run
+// records a manager keeps for Status and List. Past it the oldest finished
+// record is dropped first; pending and running records are never dropped,
+// so the history holds at most MaxFinishedRuns + maxActiveRuns records.
+const MaxFinishedRuns = 64
+
 // ErrTooManyRuns rejects a submission while maxActiveRuns runs are pending
 // or running; the caller may retry once one of them finishes.
 var ErrTooManyRuns = errors.New("engine: submit: too many active runs")
@@ -73,7 +79,7 @@ type RunManager struct {
 	mu       sync.Mutex
 	runs     map[string]*managedRun
 	order    []string // insertion order, for List
-	nextID   int
+	nextID   int      // submissions accepted so far
 	draining bool
 	wg       sync.WaitGroup
 }
@@ -157,10 +163,37 @@ func (m *RunManager) setState(id string, f func(*RunStatus)) {
 	defer m.mu.Unlock()
 	if r := m.runs[id]; r != nil {
 		f(&r.status)
+		if terminal(r.status.State) {
+			m.pruneLocked()
+		}
 	}
 }
 
-// Status returns a copy of a run's record.
+func terminal(s RunState) bool {
+	return s == RunDone || s == RunFailed || s == RunCanceled
+}
+
+// pruneLocked drops the oldest finished records until at most
+// MaxFinishedRuns remain.
+func (m *RunManager) pruneLocked() {
+	drop := len(m.runs) - m.activeLocked() - MaxFinishedRuns
+	if drop <= 0 {
+		return
+	}
+	kept := m.order[:0]
+	for _, id := range m.order {
+		if drop > 0 && terminal(m.runs[id].status.State) {
+			delete(m.runs, id)
+			drop--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	m.order = kept
+}
+
+// Status returns a copy of a run's record; false for an unknown ID or one
+// whose finished record has been dropped.
 func (m *RunManager) Status(id string) (RunStatus, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -171,7 +204,8 @@ func (m *RunManager) Status(id string) (RunStatus, bool) {
 	return copyStatus(r.status), true
 }
 
-// List returns every run's record in submission order.
+// List returns the kept run records (every pending or running run and the
+// latest MaxFinishedRuns finished ones) in submission order.
 func (m *RunManager) List() []RunStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -180,6 +214,14 @@ func (m *RunManager) List() []RunStatus {
 		out = append(out, copyStatus(m.runs[id].status))
 	}
 	return out
+}
+
+// Submitted returns the number of submissions accepted so far, including
+// those whose records have since been dropped.
+func (m *RunManager) Submitted() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.nextID
 }
 
 // Active returns the number of runs not yet in a terminal state.
@@ -192,7 +234,7 @@ func (m *RunManager) Active() int {
 func (m *RunManager) activeLocked() int {
 	n := 0
 	for _, r := range m.runs {
-		if r.status.State == RunPending || r.status.State == RunRunning {
+		if !terminal(r.status.State) {
 			n++
 		}
 	}
@@ -221,7 +263,7 @@ func (m *RunManager) Shutdown(ctx context.Context) error {
 		m.mu.Lock()
 		var killed []string
 		for id, r := range m.runs {
-			if r.status.State == RunPending || r.status.State == RunRunning {
+			if !terminal(r.status.State) {
 				killed = append(killed, id)
 				r.cancel()
 			}

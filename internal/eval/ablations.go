@@ -64,8 +64,8 @@ func AblationFeatureWeight(h *Harness) ([]FeatureWeightRow, *Table) {
 		for _, kind := range []SplitKind{Stratified, CompletelyOut} {
 			rng := rand.New(rand.NewSource(h.Seed + 301))
 			holdout := buildHoldout(est.Mask, kind, 0.2, rng)
-			completed := metascritic.CompleteWithout(est.E, est.Mask, features, holdout, res.Rank, res.Lambda, wgt)
-			auprc := stats.AUPRC(holdoutLabels(completed, est.E, holdout))
+			_, fa := metascritic.Refit(est.E, est.Mask, features, holdout, res.Rank, res.Lambda, wgt)
+			auprc := stats.AUPRC(holdoutLabels(fa, est.E, holdout))
 			if kind == Stratified {
 				row.StratAUPRC = auprc
 			} else {
@@ -99,8 +99,9 @@ func AblationTransferability(h *Harness) ([]TransferAblationRow, *Table) {
 		members := res.Members
 		features := metascritic.BuildFeatures(h.W.G, members)
 		scoreEst := func(est *obs.Estimate) float64 {
-			completed := metascritic.CompleteWith(est.E, est.Mask, features, res.Rank, res.Lambda, res.FeatureWeight)
-			scores, labels := h.truthLabels(res.Metro, completed.Rows, completed)
+			prob, fa := metascritic.Refit(est.E, est.Mask, features, nil, res.Rank, res.Lambda, res.FeatureWeight)
+			completed := prob.Ratings(fa)
+			scores, labels := h.truthLabels(res.Metro, completed.N(), completed)
 			_, f := stats.BestF1Threshold(scores, labels)
 			return f
 		}

@@ -638,7 +638,7 @@ func E7(h *Harness) ([]E7Row, *Table) {
 				}
 			}
 		}
-		completed := metascritic.CompleteWith(est.E, est.Mask, features, res.Rank, res.Lambda, res.FeatureWeight)
+		_, fa := metascritic.Refit(est.E, est.Mask, features, nil, res.Rank, res.Lambda, res.FeatureWeight)
 		// Cloud rows: hypergiant members.
 		var scores []float64
 		var labels []bool
@@ -651,7 +651,7 @@ func E7(h *Harness) ([]E7Row, *Table) {
 				if j == hi {
 					continue
 				}
-				scores = append(scores, completed.At(hi, j))
+				scores = append(scores, fa.Rating(hi, j))
 				labels = append(labels, truth.M.Has(hi, j))
 			}
 		}

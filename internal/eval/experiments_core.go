@@ -158,14 +158,16 @@ func Fig8(h *Harness) ([]Fig8Result, *Table) {
 		rng := rand.New(rand.NewSource(h.Seed + 31*int64(res.Metro)))
 		est := res.Estimate
 		holdout := buildHoldout(est.Mask, Stratified, 0.2, rng)
+		features := metascritic.BuildFeatures(h.W.G, res.Members)
+
+		// metAScritic.
+		_, fa := metascritic.Refit(est.E, est.Mask, features, holdout, res.Rank, res.Lambda, res.FeatureWeight)
+
+		// The baselines train on a copy of the mask with the holdout unset.
 		work := est.Mask.Clone()
 		for _, hh := range holdout {
 			work.Unset(hh[0], hh[1])
 		}
-		features := metascritic.BuildFeatures(h.W.G, res.Members)
-
-		// metAScritic.
-		completed := metascritic.CompleteWith(est.E, work, features, res.Rank, res.Lambda, res.FeatureWeight)
 
 		// Random forest on *public* pair features only (the paper's RF
 		// baseline "only builds on available public features", Appx.
@@ -190,7 +192,7 @@ func Fig8(h *Harness) ([]Fig8Result, *Table) {
 		var labels []bool
 		for _, hh := range holdout {
 			i, j := hh[0], hh[1]
-			msScores = append(msScores, completed.At(i, j))
+			msScores = append(msScores, fa.Rating(i, j))
 			rfScores = append(rfScores, forest.PredictProba(pf(i, j)))
 			ncfScores = append(ncfScores, ncf.Predict(i, j))
 			labels = append(labels, est.E.At(i, j) > 0)

@@ -14,6 +14,7 @@ import (
 	"unicode/utf8"
 
 	"metascritic"
+	"metascritic/internal/als"
 	"metascritic/internal/asgraph"
 	"metascritic/internal/bgp"
 	"metascritic/internal/igdb"
@@ -211,10 +212,10 @@ func (h *Harness) EvaluateSplit(res *metascritic.Result, kind SplitKind, frac fl
 	rng := rand.New(rand.NewSource(seed))
 	holdout := buildHoldout(est.Mask, kind, frac, rng)
 	features := metascritic.BuildFeatures(h.W.G, res.Members)
-	completed := metascritic.CompleteWithout(est.E, est.Mask, features, holdout, res.Rank, res.Lambda, res.FeatureWeight)
+	_, fa := metascritic.Refit(est.E, est.Mask, features, holdout, res.Rank, res.Lambda, res.FeatureWeight)
 
 	ev := SplitEval{Kind: kind}
-	ev.Scores, ev.Labels = holdoutLabels(completed, est.E, holdout)
+	ev.Scores, ev.Labels = holdoutLabels(fa, est.E, holdout)
 	if len(ev.Scores) == 0 {
 		return ev
 	}
@@ -249,11 +250,12 @@ func (h *Harness) EvaluateSplits(res *metascritic.Result, specs []SplitSpec) []S
 	return out
 }
 
-// holdoutLabels pairs every held-out entry's completed score with its
-// measured sign, the label of the paper's cross-validation.
-func holdoutLabels(completed *mat.Matrix, E mat.View, holdout [][2]int) (scores []float64, labels []bool) {
+// holdoutLabels pairs every held-out entry's completed score, read from the
+// fit's factors, with its measured sign, the label of the paper's
+// cross-validation.
+func holdoutLabels(fa *als.Factors, E mat.View, holdout [][2]int) (scores []float64, labels []bool) {
 	for _, hh := range holdout {
-		scores = append(scores, completed.At(hh[0], hh[1]))
+		scores = append(scores, fa.Rating(hh[0], hh[1]))
 		labels = append(labels, E.At(hh[0], hh[1]) > 0)
 	}
 	return scores, labels
@@ -300,27 +302,20 @@ func buildHoldout(mask *mat.Mask, kind SplitKind, frac float64, rng *rand.Rand) 
 	default: // CompletelyOut
 		rows := rng.Perm(n)
 		target := int(frac * float64(len(all)))
-		removedRows := map[int]bool{}
 		var out [][2]int
+		taken := map[[2]int]bool{}
 		for _, r := range rows {
 			if len(out) >= target {
 				break
 			}
-			removedRows[r] = true
 			for _, j := range mask.RowEntries(r) {
 				if r == j {
 					continue
 				}
+				// A pair whose other row was removed first is already out.
 				key := [2]int{min(r, j), max(r, j)}
-				// Avoid double-adding when both rows are removed.
-				dup := false
-				for _, e := range out {
-					if e == key {
-						dup = true
-						break
-					}
-				}
-				if !dup {
+				if !taken[key] {
+					taken[key] = true
 					out = append(out, key)
 				}
 			}

@@ -105,7 +105,8 @@ func (h *Harness) RunStrategy(metro int, picker baseline.Picker, budget, batchSi
 	// Completion and scoring against ground truth.
 	features := metascritic.BuildFeatures(g, members)
 	score := func(r int) (p, rec, f float64) {
-		scores, labels := h.truthLabels(metro, len(members), metascritic.CompleteWith(est.E, est.Mask, features, r, 0.08, 0.35))
+		prob, fa := metascritic.Refit(est.E, est.Mask, features, nil, r, 0.08, 0.35)
+		scores, labels := h.truthLabels(metro, len(members), prob.Ratings(fa))
 		thr, fbest := stats.BestF1Threshold(scores, labels)
 		c := stats.Confuse(scores, labels, thr)
 		return c.Precision(), c.Recall(), fbest

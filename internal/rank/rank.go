@@ -198,8 +198,8 @@ func Estimate(E mat.View, mask *mat.Mask, features *mat.Matrix, topUp TopUpFunc,
 			for _, h := range holdout {
 				ov.Remove(h[0], h[1])
 			}
-			// Only the held-out cells are scored, so they are read from
-			// the factors rather than from a dense completion.
+			// Only the held-out cells are scored, each read from the
+			// factors.
 			factors := prob.Fit(opts, ov, init)
 			warm = factors // the last draw's factors seed rank r+1
 			for _, h := range holdout {

@@ -382,24 +382,13 @@ func (p *Pipeline) Snapshot() *Pipeline {
 	}
 }
 
-// CompleteWith re-runs the hybrid completion with explicit hyperparameters
-// (used by the evaluation splits to replay a result's configuration over a
-// reduced mask).
-func CompleteWith(E mat.View, mask *mat.Mask, features *mat.Matrix, rank int, lambda, featureWeight float64) *mat.Matrix {
-	return als.Complete(E, mask, features, als.Options{
-		Rank:          rank,
-		Lambda:        lambda,
-		FeatureWeight: featureWeight,
-		Iterations:    15,
-		Seed:          1,
-	})
-}
-
-// CompleteWithout is CompleteWith with the holdout entries removed from the
-// observation set — the evaluation-split primitive. The removals are
-// applied as an overlay, so the caller's mask is never cloned or mutated,
-// and the result is bit-identical to unsetting the entries from a copy.
-func CompleteWithout(E mat.View, mask *mat.Mask, features *mat.Matrix, holdout [][2]int, rank int, lambda, featureWeight float64) *mat.Matrix {
+// Refit re-runs the hybrid completion with explicit hyperparameters and the
+// holdout entries (may be nil) removed from the observation set: the
+// evaluation primitive that replays a result's configuration over a
+// reduced mask. The removals are applied as an overlay, so the caller's
+// mask is never cloned or mutated. Callers read cells through the
+// factors' Rating, or the whole completion through the problem's Ratings.
+func Refit(E mat.View, mask *mat.Mask, features *mat.Matrix, holdout [][2]int, rank int, lambda, featureWeight float64) (*als.Problem, *als.Factors) {
 	if featureWeight <= 0 {
 		features = nil
 	}
@@ -407,38 +396,47 @@ func CompleteWithout(E mat.View, mask *mat.Mask, features *mat.Matrix, holdout [
 	for _, h := range holdout {
 		ov.Remove(h[0], h[1])
 	}
-	return als.NewProblem(E, mask, features).Complete(als.Options{
+	prob := als.NewProblem(E, mask, features)
+	return prob, prob.Fit(als.Options{
 		Rank:          rank,
 		Lambda:        lambda,
 		FeatureWeight: featureWeight,
 		Iterations:    15,
 		Seed:          1,
-	}, ov)
+	}, ov, nil)
+}
+
+// stratifiedHoldout draws the internal 20%-per-row holdout of measured
+// entries behind λ's choice and the calibration curve: each row's entries
+// are shuffled and the pairs (i, j > i) among the first fifth of them held
+// out. It returns the holdout as an overlay on mask and as pairs in draw
+// order.
+func stratifiedHoldout(mask *mat.Mask, rng *rand.Rand) (*mat.Overlay, [][2]int) {
+	var pairs [][2]int
+	ov := mat.NewOverlay(mask)
+	for i := 0; i < mask.N(); i++ {
+		// RowEntries returns a freshly-allocated copy (its documented
+		// contract), so shuffling here cannot corrupt the mask's sorted-row
+		// CSR invariant; TestRowEntriesReturnsCopy and the end-to-end mask
+		// invariant test pin this.
+		entries := mask.RowEntries(i)
+		rng.Shuffle(len(entries), func(a, b int) { entries[a], entries[b] = entries[b], entries[a] })
+		for _, j := range entries[:len(entries)/5] {
+			if i < j {
+				ov.Remove(i, j)
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	return ov, pairs
 }
 
 // pickThreshold runs an internal stratified holdout to choose λ. The
 // holdout is applied as an overlay on prob (the final completion problem),
 // so no mask clone or observation rebuild happens here, and its cells are
-// read from the fit's factors, never from a dense completion.
+// read from the fit's factors.
 func (p *Pipeline) pickThreshold(est *obs.Estimate, prob *als.Problem, opts als.Options, rng *rand.Rand) float64 {
-	var holdout [][2]int
-	ov := mat.NewOverlay(est.Mask)
-	n := est.Mask.N()
-	for i := 0; i < n; i++ {
-		// RowEntries returns a freshly-allocated copy (its documented
-		// contract), so shuffling here cannot corrupt the mask's sorted-row
-		// CSR invariant; TestRowEntriesReturnsCopy and the end-to-end mask
-		// invariant test pin this.
-		entries := est.Mask.RowEntries(i)
-		rng.Shuffle(len(entries), func(a, b int) { entries[a], entries[b] = entries[b], entries[a] })
-		k := len(entries) / 5
-		for _, j := range entries[:k] {
-			if i < j && ov.Has(i, j) {
-				ov.Remove(i, j)
-				holdout = append(holdout, [2]int{i, j})
-			}
-		}
-	}
+	ov, holdout := stratifiedHoldout(est.Mask, rng)
 	if len(holdout) < 5 {
 		return 0.3 // not enough data; the paper's max-F operating point
 	}

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"metascritic/internal/asgraph"
-	"metascritic/internal/mat"
 )
 
 // This file implements the two §5 frameworks for consuming metAScritic's
@@ -124,38 +123,24 @@ func (p *Pipeline) NewProbabilisticTopology(res *Result, seed int64) *Probabilis
 // measured entries.
 func (p *Pipeline) calibrationCurve(res *Result, seed int64) []CalibrationPoint {
 	est := res.Estimate
-	rng := rand.New(rand.NewSource(seed))
-	ov := mat.NewOverlay(est.Mask)
-	type held struct {
-		i, j int
-		link bool
-	}
-	var holdout []held
-	var pairs [][2]int
-	n := est.Mask.N()
-	for i := 0; i < n; i++ {
-		entries := est.Mask.RowEntries(i)
-		rng.Shuffle(len(entries), func(a, b int) { entries[a], entries[b] = entries[b], entries[a] })
-		k := len(entries) / 5
-		for _, j := range entries[:k] {
-			if i < j && ov.Has(i, j) {
-				ov.Remove(i, j)
-				holdout = append(holdout, held{i, j, est.E.At(i, j) > 0})
-				pairs = append(pairs, [2]int{i, j})
-			}
-		}
-	}
+	_, holdout := stratifiedHoldout(est.Mask, rand.New(rand.NewSource(seed)))
 	features := BuildFeatures(p.World.G, res.Members)
-	completed := CompleteWithout(est.E, est.Mask, features, pairs, res.Rank, res.Lambda, res.FeatureWeight)
+	_, fa := Refit(est.E, est.Mask, features, holdout, res.Rank, res.Lambda, res.FeatureWeight)
+	scores := make([]float64, len(holdout))
+	links := make([]bool, len(holdout))
+	for k, h := range holdout {
+		scores[k] = fa.Rating(h[0], h[1])
+		links[k] = est.E.At(h[0], h[1]) > 0
+	}
 
 	var curve []CalibrationPoint
 	for thr := 0.0; thr <= 0.91; thr += 0.1 {
 		tp, fp := 0, 0
-		for _, h := range holdout {
-			if completed.At(h.i, h.j) < thr {
+		for k, score := range scores {
+			if score < thr {
 				continue
 			}
-			if h.link {
+			if links[k] {
 				tp++
 			} else {
 				fp++
